@@ -6,9 +6,10 @@ represented by their size; points are the integers 0..space-1, labels are 0/1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
 
@@ -205,6 +206,69 @@ def domain_error(h: Hypothesis, d: LabeledDistribution) -> Fraction:
     return sum((a.mass for a in d.atoms if h.labels[a.x] != a.y), start=ZERO)
 
 
+class ErrorMatrix:
+    """Exact error of every hypothesis of a class on every domain of a list.
+
+    Built once per (class, domain list); every reader of exact errors except
+    `verify_certificate` goes through one. Column j holds the errors on domain
+    j as integer numerators over one common `denominator`, the LCM of all
+    atom-mass denominators, so comparisons, maxima and gaps run on ints and
+    `Fraction`s appear only in return values. Row i is hypothesis i.
+    """
+
+    def __init__(self, hc: HypothesisClass, domains: Sequence[LabeledDistribution]) -> None:
+        domains = tuple(domains)
+        for j, d in enumerate(domains):
+            if d.space != hc.space:
+                raise SpaceMismatchError(
+                    f"domain {j} has space {d.space}, class space is {hc.space}"
+                )
+        den = math.lcm(*(a.mass.denominator for d in domains for a in d.atoms))
+        labelings = [h.labels for h in hc.members]
+        columns = []
+        for j, d in enumerate(domains):
+            # cost[x][v]: mass a hypothesis labeling x with v gets wrong
+            cost: dict[int, list[int]] = {}
+            for a in d.atoms:
+                share = a.mass.numerator * (den // a.mass.denominator)
+                cost.setdefault(a.x, [0, 0])[1 - a.y] += share
+            items = tuple(cost.items())
+            column = tuple(sum(c[labels[x]] for x, c in items) for labels in labelings)
+            if min(column) < 0 or max(column) > den:
+                raise ValueError(f"domain {j} yields an error outside [0, 1]")
+            columns.append(column)
+        self.rows = len(labelings)
+        self.denominator = den
+        self.columns: tuple[tuple[int, ...], ...] = tuple(columns)
+
+    def error(self, i: int, j: int) -> Fraction:
+        """Error of hypothesis i on domain j."""
+        return Fraction(self.columns[j][i], self.denominator)
+
+    def minmax(self, columns: Iterable[int]) -> tuple[int, Fraction]:
+        """(i, worst): the lowest-index hypothesis minimizing its largest error
+        over the listed domains, and that error. Each distinct domain is read
+        once; repeats cannot change a maximum."""
+        cols = [self.columns[j] for j in set(columns)]
+        if not cols:
+            raise ValueError("min-max needs at least one domain")
+        worst = list(map(max, zip(*cols)))
+        best = min(worst)
+        return worst.index(best), Fraction(best, self.denominator)
+
+    def divergence(self, j: int, k: int, tau: Fraction | None = None) -> Fraction | None:
+        """Largest error gap between domains j and k over the hypotheses whose
+        smaller error of the two is at most tau (all of them when tau is None);
+        None when no hypothesis qualifies."""
+        a, b = self.columns[j], self.columns[k]
+        if tau is None:
+            gaps = [abs(x - y) for x, y in zip(a, b)]
+        else:
+            limit = math.floor(tau * self.denominator)
+            gaps = [abs(x - y) for x, y in zip(a, b) if x <= limit or y <= limit]
+        return Fraction(max(gaps), self.denominator) if gaps else None
+
+
 def empirical_error(h: Hypothesis, s: LabeledSample) -> Fraction:
     """Fraction of sample points h mislabels, as an exact rational."""
     if len(s) == 0:
@@ -263,12 +327,6 @@ def optimal_tau(p: MetaDistribution, hc: HypothesisClass) -> tuple[Fraction, int
     support = p.support()
     if not support:
         raise ValueError("meta-distribution has empty support")
-    best: Fraction | None = None
-    best_idx = -1
-    for i, h in enumerate(hc.members):
-        worst = max(domain_error(h, p.family.domains[j]) for j in support)
-        if best is None or worst < best:
-            best = worst
-            best_idx = i
-    assert best is not None
+    matrix = ErrorMatrix(hc, [p.family.domains[j] for j in support])
+    best_idx, best = matrix.minmax(range(len(support)))
     return best, best_idx

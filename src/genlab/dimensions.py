@@ -8,6 +8,7 @@ by an explicit witness map.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -15,6 +16,7 @@ from typing import NamedTuple
 from .core import (
     CertificateError,
     DomainFamily,
+    ErrorMatrix,
     HypothesisClass,
     SpaceMismatchError,
     domain_error,
@@ -116,19 +118,14 @@ def induce_partial_class(
     """Partial concepts over g's domains induced by error thresholds."""
     if hc.space != g.space:
         raise SpaceMismatchError(f"class space {hc.space} != family space {g.space}")
-    lo = q.tau - q.alpha
-    concepts = []
-    for h in hc.members:
-        row: list[int | None] = []
-        for d in g.domains:
-            e = domain_error(h, d)
-            if e > q.tau:
-                row.append(1)
-            elif e < lo:
-                row.append(0)
-            else:
-                row.append(None)
-        concepts.append(tuple(row))
+    m = ErrorMatrix(hc, g.domains)
+    # integer numerators: e > tau iff e > hi, and e < tau - alpha iff e < lo
+    hi = math.floor(q.tau * m.denominator)
+    lo = math.ceil((q.tau - q.alpha) * m.denominator)
+    concepts = [
+        tuple(1 if col[i] > hi else 0 if col[i] < lo else None for col in m.columns)
+        for i in range(m.rows)
+    ]
     return PartialConceptClass(len(g), tuple(concepts))
 
 

@@ -17,11 +17,11 @@ from .core import (
     Atom,
     ConstructionError,
     DomainFamily,
+    ErrorMatrix,
     HypothesisClass,
     LabeledDistribution,
     SpaceMismatchError,
     ZERO,
-    domain_error,
 )
 from .dimensions import DimensionQuery, gdim
 from .seeding import rng_for
@@ -62,25 +62,21 @@ def h_divergence(
     q: DivergenceQuery = DivergenceQuery(),
 ) -> Fraction:
     """Largest error gap |err_d1(h) - err_d2(h)| over the (qualifying) class."""
-    if hc.space != d1.space or hc.space != d2.space:
-        raise SpaceMismatchError("class and both domains must share a space")
-    best: Fraction | None = None
-    for h in hc.members:
-        e1 = domain_error(h, d1)
-        e2 = domain_error(h, d2)
-        if q.tau is not None and min(e1, e2) > q.tau:
-            continue
-        gap = abs(e1 - e2)
-        if best is None or gap > best:
-            best = gap
-    if best is None:
+    gap = ErrorMatrix(hc, (d1, d2)).divergence(0, 1, q.tau)
+    if gap is None:
         warnings.warn(
             f"no hypothesis qualifies at tau={q.tau}; divergence defined as 0",
             EmptyQualifyingSetWarning,
             stacklevel=2,
         )
         return ZERO
-    return best
+    return gap
+
+
+def _within(m: ErrorMatrix, j: int, c: int, radius: Fraction, q: DivergenceQuery) -> bool:
+    # no qualifying hypothesis means divergence 0, which every radius covers
+    gap = m.divergence(j, c, q.tau)
+    return gap is None or gap <= radius
 
 
 def greedy_cover(
@@ -96,30 +92,23 @@ def greedy_cover(
         raise ValueError("cover radius must be non-negative")
     if hc.space != g.space:
         raise SpaceMismatchError(f"class space {hc.space} != family space {g.space}")
+    m = ErrorMatrix(hc, g.domains)
     uncovered = set(range(len(g)))
     centers = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyQualifyingSetWarning)
-        while uncovered:
-            c = min(uncovered)
-            centers.append(c)
-            for j in sorted(uncovered):
-                if h_divergence(hc, g.domains[j], g.domains[c], q) <= radius:
-                    uncovered.discard(j)
+    while uncovered:
+        c = min(uncovered)
+        centers.append(c)
+        uncovered = {j for j in uncovered if not _within(m, j, c, radius, q)}
     return Cover(tuple(centers), radius, q)
 
 
 def cover_is_valid(cover: Cover, g: DomainFamily, hc: HypothesisClass) -> bool:
     """Re-check that every domain lies within the radius of some center."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyQualifyingSetWarning)
-        for j in range(len(g)):
-            if not any(
-                h_divergence(hc, g.domains[j], g.domains[c], cover.query) <= cover.radius
-                for c in cover.center_indices
-            ):
-                return False
-    return True
+    m = ErrorMatrix(hc, g.domains)
+    return all(
+        any(_within(m, j, c, cover.radius, cover.query) for c in cover.center_indices)
+        for j in range(len(g))
+    )
 
 
 def cover_bound_check(

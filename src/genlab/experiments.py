@@ -7,8 +7,10 @@ a random bit vector behind flipped domains and counts how often the learner is
 wrong where it has not looked.
 
 Every trial is reproducible from (config, master seed) alone: trial seeds are
-derived by stable hashing, error accounting is exact, and worker threads only
-change wall-clock time, never a single output byte.
+derived by stable hashing and error accounting is exact. Trials run one after
+another on the calling thread: they are pure-Python `Fraction` work, so worker
+threads only contend for the interpreter lock. The `threads` argument is
+accepted and checked but changes no output byte.
 """
 from __future__ import annotations
 
@@ -17,10 +19,9 @@ import io
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, ClassVar, Sequence, TypeVar
 
 from .constructions import (
     BASE_RATE,
@@ -32,17 +33,21 @@ from .constructions import (
 from .core import (
     ConfigError,
     DomainFamily,
+    ErrorMatrix,
     HypothesisClass,
     MetaDistribution,
     ZERO,
-    domain_error,
-    domain_risk,
 )
-from .dimensions import DimensionQuery, induce_partial_class, partial_vc_dim
+from .dimensions import (
+    DimensionQuery,
+    PartialConceptClass,
+    induce_partial_class,
+    partial_vc_dim,
+)
 from .learner import (
-    ErrorTable,
     draw_domain_indices,
     estimate_errors,
+    inverse_cdf,
     minmax_erm,
     sample_size_for,
     sample_training_set,
@@ -51,12 +56,6 @@ from .seeding import derive_seed, rng_for
 from .serialize import rational_from_str, rational_to_str
 
 SCALING_GENERATORS = ("adversarial-meta", "uniform-shattered", "point-mass")
-
-
-def _rational_or_none(value: Any) -> Fraction | None:
-    if value is None:
-        return None
-    return rational_from_str(value) if isinstance(value, str) else Fraction(value)
 
 
 def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
@@ -68,10 +67,57 @@ def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
     return grid
 
 
+# Config value parsers, keyed by the field annotation.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "tuple[int, ...]": tuple,
+    "Fraction": rational_from_str,
+    "Fraction | None": rational_from_str,
+}
+
+
+_C = TypeVar("_C", bound="_Config")
+
+
+class _Config:
+    """JSON form shared by the experiment configs: "experiment" plus one key
+    per dataclass field. A key that is absent or null takes the field's
+    default; a present value, zero included, is kept."""
+
+    experiment: ClassVar[str]
+
+    @classmethod
+    def from_dict(cls: type[_C], obj: dict[str, Any]) -> _C:
+        specs = fields(cls)
+        unknown = set(obj) - {f.name for f in specs} - {"experiment"}
+        if unknown:
+            raise ValueError(f"unknown {cls.experiment} config keys: {sorted(unknown)}")
+        values = {}
+        for f in specs:
+            if obj.get(f.name) is not None:
+                values[f.name] = _PARSERS[f.type](obj[f.name])
+            elif f.default is MISSING:
+                raise ValueError(f"{cls.experiment} config needs {f.name!r}")
+        return cls(**values)
+
+    def to_dict(self) -> dict[str, Any]:
+        out: dict[str, Any] = {"experiment": self.experiment}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Fraction):
+                value = rational_to_str(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class ScalingConfig:
+class ScalingConfig(_Config):
     """Risk-vs-n suite. tau=None picks the generator's natural threshold."""
 
+    experiment: ClassVar[str] = "scaling"
     generator: str
     family_alpha: Fraction
     n_grid: tuple[int, ...]
@@ -91,55 +137,15 @@ class ScalingConfig:
         object.__setattr__(self, "n_grid", _check_grid(self.n_grid))
         if self.trials < 1:
             raise ValueError("need at least one trial")
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "ScalingConfig":
-        allowed = {
-            "experiment", "generator", "family_alpha", "n_grid", "trials", "seed",
-            "tau", "alpha", "gamma", "gamma_coefficient", "epsilon", "delta",
-            "tau_margin",
-        }
-        _reject_unknown(obj, allowed, "scaling")
-        return cls(
-            generator=obj["generator"],
-            family_alpha=rational_from_str(obj["family_alpha"]),
-            n_grid=tuple(obj["n_grid"]),
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
-            tau=_rational_or_none(obj.get("tau")),
-            alpha=_rational_or_none(obj.get("alpha")),
-            gamma=_rational_or_none(obj.get("gamma")),
-            gamma_coefficient=_rational_or_none(obj.get("gamma_coefficient")),
-            epsilon=_rational_or_none(obj.get("epsilon")),
-            delta=_rational_or_none(obj.get("delta")) or Fraction(1, 10),
-            tau_margin=_rational_or_none(obj.get("tau_margin")) or Fraction(1, 1000),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": "scaling",
-            "generator": self.generator,
-            "family_alpha": rational_to_str(self.family_alpha),
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "seed": self.seed,
-            "tau": None if self.tau is None else rational_to_str(self.tau),
-            "alpha": None if self.alpha is None else rational_to_str(self.alpha),
-            "gamma": None if self.gamma is None else rational_to_str(self.gamma),
-            "gamma_coefficient": (
-                None if self.gamma_coefficient is None
-                else rational_to_str(self.gamma_coefficient)
-            ),
-            "epsilon": None if self.epsilon is None else rational_to_str(self.epsilon),
-            "delta": rational_to_str(self.delta),
-            "tau_margin": rational_to_str(self.tau_margin),
-        }
+        if not (0 < self.delta < 1):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
-class UniformConvergenceConfig:
+class UniformConvergenceConfig(_Config):
     """Tail-frequency suite over the induced partial class of a built family."""
 
+    experiment: ClassVar[str] = "uniform-convergence"
     family_alpha: Fraction
     n_grid: tuple[int, ...]
     trials: int
@@ -156,41 +162,15 @@ class UniformConvergenceConfig:
         if not c_grid or any(c < 1 for c in c_grid) or list(c_grid) != sorted(set(c_grid)):
             raise ValueError("c grid must be strictly increasing positive integers")
         object.__setattr__(self, "c_grid", c_grid)
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "UniformConvergenceConfig":
-        allowed = {
-            "experiment", "family_alpha", "n_grid", "trials", "seed", "tau",
-            "delta", "c_grid",
-        }
-        _reject_unknown(obj, allowed, "uniform-convergence")
-        return cls(
-            family_alpha=rational_from_str(obj["family_alpha"]),
-            n_grid=tuple(obj["n_grid"]),
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
-            tau=_rational_or_none(obj.get("tau")) or BASE_RATE,
-            delta=_rational_or_none(obj.get("delta")) or Fraction(1, 10),
-            c_grid=tuple(obj.get("c_grid", (1, 2, 4, 8))),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": "uniform-convergence",
-            "family_alpha": rational_to_str(self.family_alpha),
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "seed": self.seed,
-            "tau": rational_to_str(self.tau),
-            "delta": rational_to_str(self.delta),
-            "c_grid": list(self.c_grid),
-        }
+        if not (0 < self.delta < 1):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
-class LowerBoundConfig:
+class LowerBoundConfig(_Config):
     """Hidden-bit-vector suite at fixed n over a flipped family extension."""
 
+    experiment: ClassVar[str] = "lower-bound"
     family_alpha: Fraction
     gamma: Fraction
     n: int
@@ -204,41 +184,6 @@ class LowerBoundConfig:
             raise ValueError("need n >= 1 and at least one trial")
         if not (0 < self.gamma < Fraction(1, 8)):
             raise ValueError(f"gamma must lie in (0, 1/8), got {self.gamma}")
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "LowerBoundConfig":
-        allowed = {
-            "experiment", "family_alpha", "gamma", "n", "trials", "seed", "tau",
-            "tau_margin",
-        }
-        _reject_unknown(obj, allowed, "lower-bound")
-        return cls(
-            family_alpha=rational_from_str(obj["family_alpha"]),
-            gamma=rational_from_str(obj["gamma"]),
-            n=int(obj["n"]),
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
-            tau=_rational_or_none(obj.get("tau")) or BASE_RATE,
-            tau_margin=_rational_or_none(obj.get("tau_margin")) or Fraction(1, 1000),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": "lower-bound",
-            "family_alpha": rational_to_str(self.family_alpha),
-            "gamma": rational_to_str(self.gamma),
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tau": rational_to_str(self.tau),
-            "tau_margin": rational_to_str(self.tau_margin),
-        }
-
-
-def _reject_unknown(obj: dict[str, Any], allowed: set[str], name: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -321,65 +266,65 @@ class ExperimentReport:
         return [{"x": r.trial, "y": float(r.er_exact)} for r in self.rows]
 
 
-def _map_trials(items: Iterable[Any], fn: Callable[[Any], TrialRow], threads: int) -> list[TrialRow]:
-    items = list(items)
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-class _FamilyContext:
-    """Precomputed exact errors for every (hypothesis, pool domain) pair."""
-
-    def __init__(self, hc: HypothesisClass, pool: Sequence[Any]) -> None:
-        self.hc = hc
-        self.pool = tuple(pool)
-        self.columns = tuple(
-            tuple(domain_error(h, d) for h in hc.members) for d in self.pool
-        )
-
-    def table(self, pool_indices: Sequence[int]) -> ErrorTable:
-        cols = [self.columns[i] for i in pool_indices]
-        return ErrorTable(tuple(zip(*cols)), "exact")
-
-    def minmax_over(self, pool_indices: Sequence[int]) -> tuple[int, Fraction]:
-        table = self.table(pool_indices)
-        idx = minmax_erm(table)
-        return idx, max(table.entries[idx])
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 class _AdversarialContext:
-    """Flipped extension of a built family plus the error pool for its support."""
+    """Flipped extension of a built family and the error matrix of its pool:
+    the clean domain, the d shattered domains, then their d flipped mixtures."""
 
     def __init__(self, family_alpha: Fraction, tau: Fraction) -> None:
         self.base = large_k_family(family_alpha)
-        hc = self.base.slice.hypothesis_class
-        clean = unanimous_point_mass(hc)
+        self.hc = self.base.slice.hypothesis_class
+        clean = unanimous_point_mass(self.hc)
         self.lbf = lower_bound_family(
-            hc, self.base.family, clean, self.base.certificate(), tau, family_alpha
+            self.hc, self.base.family, clean, self.base.certificate(), tau, family_alpha
         )
         pool = (clean,) + tuple(
             self.base.family.domains[j] for j in self.lbf.shattered_indices
         ) + self.lbf.flipped
-        self.ctx = _FamilyContext(hc, pool)
-        self._tau_star: dict[tuple[int, ...], Fraction] = {}
-
-    @property
-    def d(self) -> int:
-        return self.lbf.d
-
-    def pool_index(self, t: int, bit: int) -> int:
-        return 1 + t + (self.d if bit else 0)
+        self.matrix = ErrorMatrix(self.hc, pool)
+        self.d = self.lbf.d
 
     def support_indices(self, bits: tuple[int, ...]) -> list[int]:
-        return [0] + [self.pool_index(t, bit) for t, bit in enumerate(bits)]
+        """Pool index of each domain of `adversarial_meta(bits)`, in its order:
+        the clean domain, then domain t or its flipped mixture as bit t says."""
+        return [0] + [1 + t + (self.d if bit else 0) for t, bit in enumerate(bits)]
 
-    def tau_star(self, bits: tuple[int, ...]) -> Fraction:
-        if bits not in self._tau_star:
-            _, value = self.ctx.minmax_over(self.support_indices(bits))
-            self._tau_star[bits] = value
-        return self._tau_star[bits]
+
+def _learn(
+    matrix: ErrorMatrix,
+    hc: HypothesisClass,
+    meta: MetaDistribution,
+    columns: Sequence[int],
+    n: int,
+    train_seed: int,
+    tau: Fraction,
+    points: int | None,
+) -> tuple[int, Fraction, Fraction, tuple[int, ...]]:
+    """Fit the min-max learner on n domain draws from meta.
+
+    columns[i] is the matrix column of meta's domain i. With `points` None the
+    learner sees the drawn domains' exact errors; otherwise empirical errors on
+    that many sampled points per draw. Returns the chosen hypothesis, its
+    largest exact error over the drawn domains, its domain risk at tau, and the
+    drawn meta indices.
+    """
+    if points is None:
+        indices, _ = draw_domain_indices(meta, n, train_seed)
+        hat, max_train = matrix.minmax(columns[i] for i in indices)
+    else:
+        ts = sample_training_set(meta, n, points, train_seed)
+        indices = ts.domain_indices
+        hat = minmax_erm(estimate_errors(hc, ts))
+        max_train = max(matrix.error(hat, columns[i]) for i in set(indices))
+    risk = sum(
+        (w for w, c in zip(meta.weights, columns) if matrix.error(hat, c) > tau),
+        start=ZERO,
+    )
+    return hat, max_train, risk, indices
 
 
 def _median_fraction(values: list[Fraction]) -> Fraction:
@@ -427,13 +372,21 @@ def _scaling_aggregates(
 
 def run_scaling(cfg: ScalingConfig, threads: int = 1) -> ExperimentReport:
     """Risk of the min-max learner as a function of the number of domain draws."""
+    _check_threads(threads)
     if cfg.generator == "adversarial-meta":
-        return _run_scaling_adversarial(cfg, threads)
-    return _run_scaling_fixed(cfg, threads)
+        return _run_scaling_adversarial(cfg)
+    return _run_scaling_fixed(cfg)
 
 
 def _resolve_alpha(cfg: ScalingConfig) -> Fraction:
     return cfg.alpha if cfg.alpha is not None else cfg.family_alpha / 2
+
+
+def _points_per_draw(cfg: ScalingConfig, n: int, class_size: int) -> int | None:
+    """Points per drawn domain in empirical mode; None in exact mode."""
+    if cfg.epsilon is None:
+        return None
+    return sample_size_for(cfg.epsilon, cfg.delta, n, class_size)
 
 
 def _scaling_gamma(cfg: ScalingConfig, n: int) -> Fraction:
@@ -459,41 +412,31 @@ def _check_margin(
         )
 
 
-def _run_scaling_adversarial(cfg: ScalingConfig, threads: int) -> ExperimentReport:
+def _run_scaling_adversarial(cfg: ScalingConfig) -> ExperimentReport:
     adv = _AdversarialContext(cfg.family_alpha, BASE_RATE)
     tau = cfg.tau if cfg.tau is not None else adv.lbf.threshold_floor() - cfg.tau_margin
     alpha = _resolve_alpha(cfg)
     epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
-    hc = adv.ctx.hc
 
-    def one(item: tuple[int, int]) -> TrialRow:
-        n, trial = item
+    def one(n: int, trial: int) -> TrialRow:
         seed = derive_seed(cfg.seed, "scaling", n, trial)
         gamma = _scaling_gamma(cfg, n)
         rng = rng_for(cfg.seed, "scaling", n, trial, "b")
         bits = tuple(rng.randrange(2) for _ in range(adv.d))
-        _check_margin(adv.tau_star(bits), tau, alpha, epsilon)
+        columns = adv.support_indices(bits)
+        _check_margin(adv.matrix.minmax(columns)[1], tau, alpha, epsilon)
         meta = adversarial_meta(adv.lbf, bits, gamma)
         train_seed = derive_seed(cfg.seed, "scaling", n, trial, "train")
-        if cfg.epsilon is None:
-            indices, _ = draw_domain_indices(meta, n, train_seed)
-            table = adv.ctx.table([_meta_to_pool(adv, bits, i) for i in indices])
-        else:
-            m = sample_size_for(cfg.epsilon, cfg.delta, n, len(hc))
-            ts = sample_training_set(meta, n, m, train_seed)
-            indices = ts.domain_indices
-            table = estimate_errors(hc, ts)
-        hat = minmax_erm(table)
-        pool_cols = {_meta_to_pool(adv, bits, i) for i in indices}
-        max_train = max(adv.ctx.columns[c][hat] for c in pool_cols)
-        er = domain_risk(meta, tau, hc.members[hat])
+        hat, max_train, er, _ = _learn(
+            adv.matrix, adv.hc, meta, columns, n, train_seed, tau,
+            _points_per_draw(cfg, n, len(adv.hc)),
+        )
         return TrialRow(
             "scaling", n, trial, seed, hat, er, max_train,
             {"b": "".join(map(str, bits)), "gamma": rational_to_str(gamma)},
         )
 
-    items = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    rows = _map_trials(items, one, threads)
+    rows = [one(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
     extra = {
         "lambda": rational_to_str(adv.lbf.mix_weight),
         "threshold_floor": rational_to_str(adv.lbf.threshold_floor()),
@@ -503,15 +446,7 @@ def _run_scaling_adversarial(cfg: ScalingConfig, threads: int) -> ExperimentRepo
     return ExperimentReport("scaling", cfg.to_dict(), tuple(rows), agg)
 
 
-def _meta_to_pool(adv: _AdversarialContext, bits: tuple[int, ...], meta_index: int) -> int:
-    # meta families list the clean domain first, then the d chosen domains
-    if meta_index == 0:
-        return 0
-    t = meta_index - 1
-    return adv.pool_index(t, bits[t])
-
-
-def _run_scaling_fixed(cfg: ScalingConfig, threads: int) -> ExperimentReport:
+def _run_scaling_fixed(cfg: ScalingConfig) -> ExperimentReport:
     base = large_k_family(cfg.family_alpha)
     hc = base.slice.hypothesis_class
     tau = cfg.tau if cfg.tau is not None else BASE_RATE
@@ -524,29 +459,20 @@ def _run_scaling_fixed(cfg: ScalingConfig, threads: int) -> ExperimentReport:
         family = DomainFamily(base.slice.space, (unanimous_point_mass(hc),))
         weights = (Fraction(1),)
     meta = MetaDistribution(family, weights)
-    ctx = _FamilyContext(hc, family.domains)
-    _, tau_star = ctx.minmax_over(list(meta.support()))
+    matrix = ErrorMatrix(hc, family.domains)
+    _, tau_star = matrix.minmax(meta.support())
     _check_margin(tau_star, tau, alpha, epsilon)
+    columns = range(len(family))
 
-    def one(item: tuple[int, int]) -> TrialRow:
-        n, trial = item
+    def one(n: int, trial: int) -> TrialRow:
         seed = derive_seed(cfg.seed, "scaling", n, trial)
         train_seed = derive_seed(cfg.seed, "scaling", n, trial, "train")
-        if cfg.epsilon is None:
-            indices, _ = draw_domain_indices(meta, n, train_seed)
-            table = ctx.table(list(indices))
-        else:
-            m = sample_size_for(cfg.epsilon, cfg.delta, n, len(hc))
-            ts = sample_training_set(meta, n, m, train_seed)
-            indices = ts.domain_indices
-            table = estimate_errors(hc, ts)
-        hat = minmax_erm(table)
-        max_train = max(ctx.columns[i][hat] for i in set(indices))
-        er = domain_risk(meta, tau, hc.members[hat])
+        hat, max_train, er, _ = _learn(
+            matrix, hc, meta, columns, n, train_seed, tau, _points_per_draw(cfg, n, len(hc))
+        )
         return TrialRow("scaling", n, trial, seed, hat, er, max_train, {})
 
-    items = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    rows = _map_trials(items, one, threads)
+    rows = [one(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
     agg = _scaling_aggregates(
         cfg, rows, tau, alpha, {"tau_star": rational_to_str(tau_star)}
     )
@@ -562,15 +488,8 @@ def exposure_trial(
     """Draw n universe points and find the largest exact 1-mass among concepts
     evaluating to 0 on every drawn point. Returns (mass, concept index or -1,
     drawn points); a violation at rate gamma means mass > gamma."""
-    cum = []
-    total = ZERO
-    for w in weights:
-        total += w
-        cum.append(total)
-    points = []
-    for _ in range(n):
-        u = Fraction(rng.random())
-        points.append(next(i for i, c in enumerate(cum) if u < c))
+    draw = inverse_cdf(weights)
+    points = [draw(rng.random()) for _ in range(n)]
     exposed = ZERO
     exposed_idx = -1
     for ci, concept in enumerate(pcc.concepts):
@@ -595,6 +514,7 @@ def run_uniform_convergence(
     exposed mass is the largest 1-mass among concepts evaluating to 0 on every
     sampled point; a violation at rate gamma means exposed mass > gamma.
     """
+    _check_threads(threads)
     base = large_k_family(cfg.family_alpha)
     query = DimensionQuery(cfg.tau, cfg.family_alpha)
     pcc = induce_partial_class(base.slice.hypothesis_class, base.family, query)
@@ -602,8 +522,7 @@ def run_uniform_convergence(
     universe = pcc.universe_size
     weights = tuple(Fraction(1, universe) for _ in range(universe))
 
-    def one(item: tuple[int, int]) -> TrialRow:
-        n, trial = item
+    def one(n: int, trial: int) -> TrialRow:
         seed = derive_seed(cfg.seed, "uc", n, trial)
         rng = rng_for(cfg.seed, "uc", n, trial)
         exposed, exposed_idx, points = exposure_trial(pcc, weights, n, rng)
@@ -612,8 +531,7 @@ def run_uniform_convergence(
             {"distinct_points": len(set(points))},
         )
 
-    items = [(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    rows = _map_trials(items, one, threads)
+    rows = [one(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
     log_inv_delta = math.log(1.0 / float(cfg.delta))
     frequencies = []
     calibrated = None
@@ -649,31 +567,26 @@ def run_lower_bound(cfg: LowerBoundConfig, threads: int = 1) -> ExperimentReport
     """Hide a uniform bit vector behind flipped domains and measure how often
     the learner's risk at tau' = lam/(1+lam) - margin exceeds gamma, plus the
     failure rate on unseen flipped-family indices."""
+    _check_threads(threads)
     adv = _AdversarialContext(cfg.family_alpha, cfg.tau)
     tau_prime = adv.lbf.threshold_floor() - cfg.tau_margin
-    hc = adv.ctx.hc
     lam = adv.lbf.mix_weight
 
     def one(trial: int) -> TrialRow:
         seed = derive_seed(cfg.seed, "lb", cfg.n, trial)
         rng = rng_for(cfg.seed, "lb", cfg.n, trial, "b")
         bits = tuple(rng.randrange(2) for _ in range(adv.d))
-        tau_star = adv.tau_star(bits)
+        columns = adv.support_indices(bits)
+        _, tau_star = adv.matrix.minmax(columns)
         _check_margin(tau_star, cfg.tau, adv.lbf.alpha, ZERO)
         meta = adversarial_meta(adv.lbf, bits, cfg.gamma)
         train_seed = derive_seed(cfg.seed, "lb", cfg.n, trial, "train")
-        indices, _ = draw_domain_indices(meta, cfg.n, train_seed)
-        pool_indices = [_meta_to_pool(adv, bits, i) for i in indices]
-        table = adv.ctx.table(pool_indices)
-        hat = minmax_erm(table)
-        max_train = max(adv.ctx.columns[c][hat] for c in set(pool_indices))
-        er = domain_risk(meta, tau_prime, hc.members[hat])
+        hat, max_train, er, indices = _learn(
+            adv.matrix, adv.hc, meta, columns, cfg.n, train_seed, tau_prime, None
+        )
         seen = {i - 1 for i in indices if i >= 1}
         unseen = [t for t in range(adv.d) if t not in seen]
-        failed = [
-            t for t in unseen
-            if adv.ctx.columns[adv.pool_index(t, bits[t])][hat] > tau_prime
-        ]
+        failed = [t for t in unseen if adv.matrix.error(hat, columns[1 + t]) > tau_prime]
         return TrialRow(
             "lower-bound", cfg.n, trial, seed, hat, er, max_train,
             {
@@ -685,7 +598,7 @@ def run_lower_bound(cfg: LowerBoundConfig, threads: int = 1) -> ExperimentReport
             },
         )
 
-    rows = _map_trials(range(cfg.trials), one, threads)
+    rows = [one(t) for t in range(cfg.trials)]
     exceed = sum(1 for r in rows if r.extra["exceeds_gamma"])
     unseen_total = sum(len(r.extra["unseen"]) for r in rows)
     unseen_failed = sum(len(r.extra["failed_unseen"]) for r in rows)

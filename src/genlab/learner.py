@@ -8,18 +8,19 @@ weighted average instead.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from .core import (
     ZERO,
-    Hypothesis,
+    ErrorMatrix,
     HypothesisClass,
     LabeledDistribution,
     LabeledSample,
     MetaDistribution,
-    domain_error,
     empirical_error,
 )
 from .seeding import derive_seed, rng_for
@@ -74,22 +75,25 @@ class ErrorTable:
         return len(self.entries[0])
 
 
-def _inverse_cdf(cumulative: Sequence[Fraction], u: Fraction) -> int:
-    # first index whose cumulative mass strictly exceeds u; zero-mass buckets
-    # contribute no interval and are never selected
-    for i, c in enumerate(cumulative):
-        if u < c:
-            return i
-    return len(cumulative) - 1
+def inverse_cdf(weights: Sequence[Fraction]) -> Callable[[float], int]:
+    """Inverse-CDF sampler over the given masses.
 
+    The returned function maps a uniform variate u in [0, 1) to the first
+    index whose cumulative mass strictly exceeds u, so zero-mass buckets are
+    never picked. Exact: cumulative masses are integer numerators C over their
+    common denominator L, u is read as its exact integer ratio p/q, and
+    u < C/L iff floor(p*L/q) < C.
+    """
+    weights = [Fraction(w) for w in weights]
+    den = math.lcm(*(w.denominator for w in weights))
+    cum = list(accumulate(w.numerator * (den // w.denominator) for w in weights))
+    last = len(cum) - 1
 
-def _cumulative(weights: Sequence[Fraction]) -> list[Fraction]:
-    total = ZERO
-    out = []
-    for w in weights:
-        total += w
-        out.append(total)
-    return out
+    def draw(u: float) -> int:
+        p, q = u.as_integer_ratio()
+        return min(bisect_right(cum, p * den // q), last)
+
+    return draw
 
 
 def draw_domain_indices(
@@ -98,25 +102,21 @@ def draw_domain_indices(
     """n i.i.d. domain indices by inverse CDF, with the per-draw seeds used."""
     if n < 1:
         raise ValueError("need at least one domain draw")
-    cum = _cumulative(p.weights)
+    draw = inverse_cdf(p.weights)
     indices = []
     seeds = []
     for i in range(n):
         seed = derive_seed(master_seed, "domain", i)
-        u = Fraction(rng_for(master_seed, "domain", i).random())
-        indices.append(_inverse_cdf(cum, u))
+        indices.append(draw(rng_for(master_seed, "domain", i).random()))
         seeds.append(seed)
     return tuple(indices), tuple(seeds)
 
 
 def _sample_points(d: LabeledDistribution, m: int, master_seed: int, draw: int) -> LabeledSample:
-    cum = _cumulative([a.mass for a in d.atoms])
+    pick = inverse_cdf([a.mass for a in d.atoms])
     rng = rng_for(master_seed, "points", draw)
-    points = []
-    for _ in range(m):
-        a = d.atoms[_inverse_cdf(cum, Fraction(rng.random()))]
-        points.append((a.x, a.y))
-    return LabeledSample(tuple(points))
+    atoms = [d.atoms[pick(rng.random())] for _ in range(m)]
+    return LabeledSample(tuple((a.x, a.y) for a in atoms))
 
 
 def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> TrainingSet:
@@ -146,7 +146,9 @@ def exact_error_table(
     hc: HypothesisClass, domains: Sequence[LabeledDistribution]
 ) -> ErrorTable:
     """True error of every hypothesis on each listed domain (mode 'exact')."""
-    rows = tuple(tuple(domain_error(h, d) for d in domains) for h in hc.members)
+    m = ErrorMatrix(hc, domains)
+    cols = range(len(m.columns))
+    rows = tuple(tuple(m.error(i, j) for j in cols) for i in range(m.rows))
     return ErrorTable(rows, "exact")
 
 

@@ -351,3 +351,57 @@ class TestExperimentCommands:
         )
         assert code == 0
         assert out.startswith("lower-bound: exceed_freq=")
+
+    def test_threads_below_one_refused(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        for threads in ("0", "-2"):
+            out_dir = tmp_path / f"t{threads}"
+            code, _, err = run(
+                capsys, "experiment", "scaling", "--config", cfg,
+                "--out", str(out_dir), "--threads", threads,
+            )
+            assert code == 2
+            assert err.startswith("error:") and "threads" in err
+            assert not out_dir.exists()
+
+    def test_zero_tau_margin_reaches_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "lb.json", {
+            "experiment": "lower-bound", "family_alpha": "1/50", "gamma": "1/20",
+            "n": 6, "trials": 4, "seed": 43, "tau_margin": "0",
+        })
+        code, _, _ = run(
+            capsys, "experiment", "lower-bound", "--config", cfg,
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert payload["config"]["tau_margin"] == "0/1"
+        assert payload["aggregates"]["tau_prime"] == "2/7"  # the floor itself
+
+    def test_zero_values_refused_cleanly(self, tmp_path, capsys):
+        uc = {
+            "experiment": "uniform-convergence", "family_alpha": "1/50",
+            "n_grid": [4], "trials": 2, "seed": 42,
+        }
+        lb = {
+            "experiment": "lower-bound", "family_alpha": "1/50", "gamma": "1/20",
+            "n": 6, "trials": 2, "seed": 43,
+        }
+        scaling = {
+            "experiment": "scaling", "generator": "uniform-shattered",
+            "family_alpha": "1/50", "n_grid": [2], "trials": 2, "seed": 505,
+        }
+        cases = (
+            (scaling, "delta", "delta"),
+            (uc, "delta", "delta"),
+            (uc, "tau", "tau"),
+            (lb, "tau", "tau"),
+        )
+        for i, (base, key, word) in enumerate(cases):
+            cfg = write_config(tmp_path / f"c{i}.json", {**base, key: "0"})
+            code, _, err = run(
+                capsys, "experiment", base["experiment"], "--config", cfg,
+                "--out", str(tmp_path / f"o{i}"),
+            )
+            assert code == 2, (key, base["experiment"])
+            assert err.startswith("error:") and word in err

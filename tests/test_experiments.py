@@ -1,8 +1,10 @@
 import csv
+import inspect
 import io
 import json
 import random
 import statistics
+import typing
 from fractions import Fraction
 
 import pytest
@@ -75,6 +77,71 @@ class TestConfigs:
             LowerBoundConfig(F(1, 50), F(1, 8), 4, 5, 1)
         with pytest.raises(ValueError):
             LowerBoundConfig(F(1, 50), F(0), 4, 5, 1)
+
+    def test_zero_tau_margin_is_kept(self):
+        for cls, cfg in ((ScalingConfig, SMALL_SCALING), (LowerBoundConfig, SMALL_LB)):
+            obj = cfg.to_dict()
+            obj["tau_margin"] = "0"
+            loaded = cls.from_dict(obj)
+            assert loaded.tau_margin == 0
+            assert loaded.to_dict()["tau_margin"] == "0/1"
+
+    def test_zero_tau_is_kept(self):
+        # zero is no default: the runner refuses it later, with its own message
+        for cls, cfg in (
+            (ScalingConfig, SMALL_SCALING),
+            (UniformConvergenceConfig, SMALL_UC),
+            (LowerBoundConfig, SMALL_LB),
+        ):
+            obj = cfg.to_dict()
+            obj["tau"] = "0"
+            assert cls.from_dict(obj).tau == 0
+
+    def test_zero_delta_is_refused(self):
+        for cls, cfg in ((ScalingConfig, SMALL_SCALING), (UniformConvergenceConfig, SMALL_UC)):
+            for bad in ("0", "1", "-1/10"):
+                obj = cfg.to_dict()
+                obj["delta"] = bad
+                with pytest.raises(ValueError, match="delta"):
+                    cls.from_dict(obj)
+            obj = cfg.to_dict()
+            del obj["delta"]
+            assert cls.from_dict(obj).delta == F(1, 10)
+
+    def test_missing_required_key_refused(self):
+        obj = SMALL_LB.to_dict()
+        del obj["gamma"]
+        with pytest.raises(ValueError, match="gamma"):
+            LowerBoundConfig.from_dict(obj)
+
+    def test_threads_below_one_refused(self):
+        for runner, cfg in (
+            (run_scaling, SMALL_SCALING),
+            (run_uniform_convergence, SMALL_UC),
+            (run_lower_bound, SMALL_LB),
+        ):
+            with pytest.raises(ValueError, match="threads"):
+                runner(cfg, threads=0)
+
+
+class TestTypeHints:
+    def test_public_hints_resolve(self):
+        from genlab import experiments
+
+        public = [
+            obj for name, obj in vars(experiments).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == experiments.__name__
+        ]
+        assert exposure_trial in public and run_lower_bound in public
+        for obj in public:
+            typing.get_type_hints(obj)
+            if inspect.isclass(obj):
+                for member in vars(obj).values():
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member):
+                        typing.get_type_hints(member)
 
 
 class TestScaling:
