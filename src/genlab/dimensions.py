@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .core import (
@@ -141,66 +143,106 @@ def _zero_pattern(concept: tuple[int | None, ...], points: tuple[int, ...]) -> i
     return mask
 
 
-def _is_shattered(pcc: PartialConceptClass, points: tuple[int, ...]) -> bool:
-    need = 1 << len(points)
-    seen: set[int] = set()
-    for c in pcc.concepts:
-        m = _zero_pattern(c, points)
-        if m is not None:
-            seen.add(m)
-            if len(seen) == need:
-                return True
-    return False
-
-
 def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcResult:
-    """Largest shattered point set, by breadth-first extension with pruning.
+    """Largest shattered point set, by depth-first search with pruning.
 
-    Every subset of a shattered set is shattered, so level s+1 candidates extend
-    level-s survivors with strictly larger points only. The search stops at
-    `size_cap` (default 20); if a level is still alive there, the result is a
-    lower bound and `exact` is False.
+    Each distinct concept is held as two ints over the points, the mask where
+    it is 0 and the mask where it is 1; it is defined where either bit is set.
+    A set is shattered when the concepts defined on it leave all 2^|set| zero
+    patterns on it. Every subset of a shattered set is shattered, so the search
+    visits shattered sets only, depth first in lexicographic preorder. A node
+    carries the concepts defined on its set, grouped by zero pattern, and the
+    points after its largest one that extend it to a shattered set: p extends
+    it iff every group holds a concept that is 0 at p and one that is 1 at p.
+    With `target` one more than the largest size found so far, a node's subtree
+    is pruned when
+      - its size plus its extensions still to be tried is below `target`;
+      - fewer than 2^target concepts are defined on its set (Sauer-Shelah);
+      - some zero pattern on its set comes from fewer than 2^(target - size)
+        concepts, too few to extend that pattern to 2^(target - size) more.
+    In preorder the first set that reaches a new size is the lexicographically
+    first shattered set of that size, so `shattered` is the lex-first maximum
+    shattered set. The search stops at `size_cap` (default 20; below 1 is
+    refused): once a set of that size is found, the result is that set, the
+    lex-first of its size, with `dimension` equal to the cap and `exact` False,
+    a lower bound on the dimension.
     """
+    if size_cap is not None and size_cap < 1:
+        raise ValueError("size cap must be a positive integer")
     cap = DEFAULT_SEARCH_CAP if size_cap is None else size_cap
-    n = pcc.universe_size
-    level: list[tuple[int, ...]] = [()]
-    size = 0
-    while True:
-        if size >= cap:
-            return VcResult(size, level[0], False)
-        grown: list[tuple[int, ...]] = []
-        for s in level:
-            start = s[-1] + 1 if s else 0
-            for p in range(start, n):
-                cand = s + (p,)
-                if _is_shattered(pcc, cand):
-                    grown.append(cand)
-        if not grown:
-            return VcResult(size, level[0], True)
-        level = grown
-        size += 1
+    concepts: set[tuple[int, int]] = set()
+    for c in pcc.concepts:
+        zero = one = 0
+        for p, v in enumerate(c):
+            if v == 0:
+                zero |= 1 << p
+            elif v == 1:
+                one |= 1 << p
+        concepts.add((zero, one))
+    best: tuple[int, ...] = ()
+
+    def visit(points: tuple[int, ...], groups: list[list[tuple[int, int]]],
+              candidates: int) -> bool:
+        # `points` is shattered and `groups` holds the concepts defined on it,
+        # one group per zero pattern on it; True once a set of size `cap` is found
+        nonlocal best
+        size = len(points)
+        if size > len(best):
+            best = points
+            if size == cap:
+                return True
+        target = len(best) + 1
+        if sum(map(len, groups)) < 1 << target or min(map(len, groups)) < 1 << (target - size):
+            return False
+        # p extends the set iff every group has a concept 0 at p and one 1 at p
+        rest = candidates
+        for g in groups:
+            rest &= reduce(or_, [z for z, _ in g]) & reduce(or_, [o for _, o in g])
+        while rest and size + rest.bit_count() > len(best):
+            bit = rest & -rest
+            rest ^= bit
+            split: list[list[tuple[int, int]]] = []
+            for g in groups:
+                split.append([c for c in g if c[0] & bit])
+                split.append([c for c in g if c[1] & bit])
+            if visit(points + (bit.bit_length() - 1,), split, rest):
+                return True
+        return False
+
+    capped = visit((), [list(concepts)], (1 << pcc.universe_size) - 1)
+    return VcResult(len(best), best, not capped)
 
 
-def _witness_for(pcc: PartialConceptClass, points: tuple[int, ...], mask: int) -> int:
+def _witnesses(pcc: PartialConceptClass, points: tuple[int, ...]) -> tuple[int, ...]:
+    """The lowest concept index with each zero pattern on `points`, collected in
+    one pass over the concepts that stops once every pattern has appeared."""
+    need = 1 << len(points)
+    first: dict[int, int] = {}
     for i, c in enumerate(pcc.concepts):
-        if _zero_pattern(c, points) == mask:
-            return i
+        pattern = _zero_pattern(c, points)
+        if pattern is not None:
+            first.setdefault(pattern, i)
+            if len(first) == need:
+                return tuple(first[mask] for mask in range(need))
     raise AssertionError("shattered set lost a witness; search is inconsistent")
 
 
 def gdim(hc: HypothesisClass, g: DomainFamily, q: DimensionQuery) -> GdimResult:
     """Shattering dimension of the domain family with a witness certificate.
 
-    Computed as the partial VC dimension of the induced partial class; the two
-    notions coincide by construction.
+    Computed as the partial VC dimension of the induced partial class over g's
+    domains; the two notions coincide by construction. `partial_vc_dim`
+    searches depth first in lexicographic preorder with its three prunes, and
+    the certificate covers the lex-first maximum shattered set of domains. At
+    `q.size_cap` the dimension equals the cap, `exact` is False and the set is
+    the lex-first shattered set of that size. Witnesses come from one pass over
+    the hypotheses in index order that keeps the first one with each pattern
+    and stops once all 2^|set| patterns have appeared, so each subset's
+    witness is the lowest-index hypothesis realizing it.
     """
     pcc = induce_partial_class(hc, g, q)
     vc = partial_vc_dim(pcc, q.size_cap)
-    points = vc.shattered
-    witnesses = tuple(
-        _witness_for(pcc, points, mask) for mask in range(1 << len(points))
-    )
-    cert = ShatteringCertificate(points, witnesses)
+    cert = ShatteringCertificate(vc.shattered, _witnesses(pcc, vc.shattered))
     return GdimResult(vc.dimension, cert, vc.exact)
 
 

@@ -54,6 +54,12 @@ class Cover:
     radius: Fraction
     query: DivergenceQuery
 
+    def __post_init__(self) -> None:
+        if any(c < 0 for c in self.center_indices):
+            raise ValueError(
+                f"cover center indices must be non-negative, got {self.center_indices}"
+            )
+
 
 def h_divergence(
     hc: HypothesisClass,
@@ -104,6 +110,9 @@ def greedy_cover(
 
 def cover_is_valid(cover: Cover, g: DomainFamily, hc: HypothesisClass) -> bool:
     """Re-check that every domain lies within the radius of some center."""
+    for c in cover.center_indices:
+        if not 0 <= c < len(g):
+            raise ValueError(f"cover center index {c} out of range for {len(g)} domains")
     m = ErrorMatrix(hc, g.domains)
     return all(
         any(_within(m, j, c, cover.radius, cover.query) for c in cover.center_indices)

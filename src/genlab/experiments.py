@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import random
 import statistics
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
@@ -524,8 +525,7 @@ def run_uniform_convergence(
 
     def one(n: int, trial: int) -> TrialRow:
         seed = derive_seed(cfg.seed, "uc", n, trial)
-        rng = rng_for(cfg.seed, "uc", n, trial)
-        exposed, exposed_idx, points = exposure_trial(pcc, weights, n, rng)
+        exposed, exposed_idx, points = exposure_trial(pcc, weights, n, random.Random(seed))
         return TrialRow(
             "uniform-convergence", n, trial, seed, exposed_idx, exposed, None,
             {"distinct_points": len(set(points))},

@@ -8,6 +8,7 @@ weighted average instead.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,7 +108,7 @@ def draw_domain_indices(
     seeds = []
     for i in range(n):
         seed = derive_seed(master_seed, "domain", i)
-        indices.append(draw(rng_for(master_seed, "domain", i).random()))
+        indices.append(draw(random.Random(seed).random()))
         seeds.append(seed)
     return tuple(indices), tuple(seeds)
 

@@ -36,6 +36,21 @@ class FormatError(GenlabError):
     """A file or string does not match the expected format."""
 
 
+def _field(obj: Any, key: str, kind: type, what: str) -> Any:
+    """obj[key], refusing an `obj` that is not a JSON object, a missing key and
+    a value of another JSON type than `kind` (list or dict)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise FormatError(f"{what} needs a '{key}' field")
+    if not isinstance(obj[key], kind):
+        expected = "list" if kind is list else "object"
+        raise FormatError(
+            f"{what} field '{key}' must be a JSON {expected}, got {type(obj[key]).__name__}"
+        )
+    return obj[key]
+
+
 def rational_to_str(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
@@ -107,10 +122,7 @@ def family_to_dict(g: DomainFamily) -> dict[str, Any]:
 
 def family_from_dict(obj: dict[str, Any], base_dir: Path | None = None) -> DomainFamily:
     """Accepts both plain families and meta files (weights ignored)."""
-    try:
-        domains = _domains_from_entries(obj["domains"], base_dir)
-    except KeyError as exc:
-        raise FormatError("family object needs a 'domains' list") from exc
+    domains = _domains_from_entries(_field(obj, "domains", list, "family object"), base_dir)
     if not domains:
         raise FormatError("family object lists no domains")
     return DomainFamily(domains[0].space, domains)
@@ -124,11 +136,8 @@ def meta_to_dict(p: MetaDistribution) -> dict[str, Any]:
 
 
 def meta_from_dict(obj: dict[str, Any], base_dir: Path | None = None) -> MetaDistribution:
-    try:
-        domains = _domains_from_entries(obj["domains"], base_dir)
-        weights = tuple(rational_from_str(w) for w in obj["weights"])
-    except KeyError as exc:
-        raise FormatError(f"meta object needs 'domains' and 'weights': {exc}") from exc
+    domains = _domains_from_entries(_field(obj, "domains", list, "meta object"), base_dir)
+    weights = tuple(rational_from_str(w) for w in _field(obj, "weights", list, "meta object"))
     if not domains:
         raise FormatError("meta object lists no domains")
     return MetaDistribution(DomainFamily(domains[0].space, domains), weights)
@@ -143,9 +152,12 @@ def certificate_to_dict(cert: ShatteringCertificate) -> dict[str, Any]:
 
 def certificate_from_dict(obj: dict[str, Any]) -> ShatteringCertificate:
     try:
-        indices = tuple(int(i) for i in obj["S"])
-        table = {int(k): int(v) for k, v in obj["witnesses"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        indices = tuple(int(i) for i in _field(obj, "S", list, "certificate object"))
+        table = {
+            int(k): int(v)
+            for k, v in _field(obj, "witnesses", dict, "certificate object").items()
+        }
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed certificate object: {exc}") from exc
     size = 1 << len(indices)
     if sorted(table) != list(range(size)):
@@ -171,7 +183,7 @@ def cover_from_dict(obj: dict[str, Any]) -> Cover:
             rational_from_str(obj["radius"]),
             DivergenceQuery(None if tau is None else rational_from_str(tau)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed cover object: {exc}") from exc
 
 

@@ -149,6 +149,41 @@ class TestDimensionCommands:
         assert code == 0
         assert out.rstrip() == "vcdim=1 exact=true"
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_vcdim_cap_below_one_refused(self, built, capsys, cap):
+        code, out, err = run(
+            capsys, "vcdim", "--class", str(built / "class.json"), "--cap", cap
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("family, reason", [
+        ([{"space": 5, "atoms": [{"x": 0, "y": 0, "mass": "1"}]}], "must be a JSON object"),
+        ({"domains": "abc"}, "'domains' must be a JSON list"),
+    ])
+    def test_malformed_family_refused(self, built, capsys, family, reason):
+        bad = built / "bad_family.json"
+        bad.write_text(json.dumps(family))
+        code, out, err = run(
+            capsys, "gdim", "--class", str(built / "class.json"), "--domains", str(bad),
+            "--tau", "3/10", "--alpha", "1/50",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and reason in err and "Traceback" not in err
+
+    def test_certificate_witness_list_refused(self, built, capsys):
+        cert = json.loads((built / "certificate.json").read_text())
+        cert["witnesses"] = list(cert["witnesses"].values())
+        bad = built / "bad_cert.json"
+        bad.write_text(json.dumps(cert))
+        code, out, err = run(
+            capsys, "verify-cert", "--class", str(built / "class.json"),
+            "--domains", str(built / "family.json"), "--cert", str(bad),
+            "--tau", "3/10", "--alpha", "1/50",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestLearnCommand:
     @pytest.fixture()

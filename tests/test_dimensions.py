@@ -160,6 +160,9 @@ class TestPartialVcDim:
         assert capped.dimension == 2
         assert len(capped.shattered) == 2
         assert not capped.exact
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="size cap"):
+                partial_vc_dim(cube, size_cap=cap)
 
     def test_matches_exhaustive_on_random_instances(self):
         rng = random.Random(72001)

@@ -161,6 +161,14 @@ class TestGreedyCover:
         bad = Cover((0,), gap - F(1, 1000), DivergenceQuery())
         assert not cover_is_valid(bad, fam, hc)
 
+    def test_center_indices_out_of_range_rejected(self):
+        lkf = large_k_family(F(1, 50))
+        hc = lkf.slice.hypothesis_class
+        with pytest.raises(ValueError, match="non-negative"):
+            Cover((-1, -2, -3), F(0), DivergenceQuery())
+        with pytest.raises(ValueError, match="out of range"):
+            cover_is_valid(Cover((0, 3), F(1), DivergenceQuery()), lkf.family, hc)
+
     def test_negative_radius_rejected(self):
         fam = DomainFamily(2, (two_point_domain(F(1, 5)),))
         hc = HypothesisClass(2, (Hypothesis((0, 1)),))

@@ -105,6 +105,10 @@ class TestDictRoundTrips:
         for q in (DivergenceQuery(), DivergenceQuery(F(3, 10))):
             cover = Cover((0, 2), F(1, 20), q)
             assert cover_from_dict(cover_to_dict(cover)) == cover
+        bad = cover_to_dict(Cover((0, 2), F(1, 20), DivergenceQuery()))
+        bad["centers"] = [0, -1]
+        with pytest.raises(FormatError, match="non-negative"):
+            cover_from_dict(bad)
 
     def test_training_set_and_error_table(self):
         rng = random.Random(41006)
