@@ -7,6 +7,7 @@ represented by their size; points are the integers 0..space-1, labels are 0/1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -206,6 +207,27 @@ def domain_error(h: Hypothesis, d: LabeledDistribution) -> Fraction:
     return sum((a.mass for a in d.atoms if h.labels[a.x] != a.y), start=ZERO)
 
 
+def error_column(
+    labelings: Sequence[Sequence[int]], weighted: Iterable[tuple[int, int, int]]
+) -> tuple[int, ...]:
+    """Total weight each labeling gets wrong over (x, y, weight) triples."""
+    cost: dict[int, list[int]] = {}  # cost[x][v]: weight a labeling with v at x gets wrong
+    for x, y, w in weighted:
+        cost.setdefault(x, [0, 0])[1 - y] += w
+    items = tuple(cost.items())
+    return tuple(sum(c[labels[x]] for x, c in items) for labels in labelings)
+
+
+def argmin_max(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
+    """(i, worst): the lowest row index minimizing its largest entry over the
+    given columns, and that entry."""
+    worst = list(map(max, zip(*columns)))
+    if not worst:
+        raise ValueError("min-max needs at least one domain")
+    best = min(worst)
+    return worst.index(best), best
+
+
 class ErrorMatrix:
     """Exact error of every hypothesis of a class on every domain of a list.
 
@@ -227,19 +249,17 @@ class ErrorMatrix:
         labelings = [h.labels for h in hc.members]
         columns = []
         for j, d in enumerate(domains):
-            # cost[x][v]: mass a hypothesis labeling x with v gets wrong
-            cost: dict[int, list[int]] = {}
-            for a in d.atoms:
-                share = a.mass.numerator * (den // a.mass.denominator)
-                cost.setdefault(a.x, [0, 0])[1 - a.y] += share
-            items = tuple(cost.items())
-            column = tuple(sum(c[labels[x]] for x, c in items) for labels in labelings)
+            column = error_column(labelings, (
+                (a.x, a.y, a.mass.numerator * (den // a.mass.denominator)) for a in d.atoms
+            ))
             if min(column) < 0 or max(column) > den:
                 raise ValueError(f"domain {j} yields an error outside [0, 1]")
             columns.append(column)
         self.rows = len(labelings)
         self.denominator = den
         self.columns: tuple[tuple[int, ...], ...] = tuple(columns)
+        self._labelings = labelings
+        self._atoms = [d.atoms for d in domains]
 
     def error(self, i: int, j: int) -> Fraction:
         """Error of hypothesis i on domain j."""
@@ -249,12 +269,15 @@ class ErrorMatrix:
         """(i, worst): the lowest-index hypothesis minimizing its largest error
         over the listed domains, and that error. Each distinct domain is read
         once; repeats cannot change a maximum."""
-        cols = [self.columns[j] for j in set(columns)]
-        if not cols:
-            raise ValueError("min-max needs at least one domain")
-        worst = list(map(max, zip(*cols)))
-        best = min(worst)
-        return worst.index(best), Fraction(best, self.denominator)
+        i, worst = argmin_max(self.columns[j] for j in set(columns))
+        return i, Fraction(worst, self.denominator)
+
+    def mistakes(self, j: int, atom_indices: Iterable[int]) -> tuple[int, ...]:
+        """How many points of a sample of domain j each hypothesis mislabels,
+        the sample given as the index into domain j's atoms of each point."""
+        atoms = self._atoms[j]
+        hits = Counter(atom_indices).items()
+        return error_column(self._labelings, ((atoms[k].x, atoms[k].y, c) for k, c in hits))
 
     def divergence(self, j: int, k: int, tau: Fraction | None = None) -> Fraction | None:
         """Largest error gap between domains j and k over the hypotheses whose

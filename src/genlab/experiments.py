@@ -22,7 +22,7 @@ import random
 import statistics
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Any, ClassVar, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Sequence, TypeVar
 
 from .constructions import (
     BASE_RATE,
@@ -35,9 +35,9 @@ from .core import (
     ConfigError,
     DomainFamily,
     ErrorMatrix,
-    HypothesisClass,
     MetaDistribution,
     ZERO,
+    argmin_max,
 )
 from .dimensions import (
     DimensionQuery,
@@ -46,12 +46,10 @@ from .dimensions import (
     partial_vc_dim,
 )
 from .learner import (
+    draw_atoms,
     draw_domain_indices,
-    estimate_errors,
     inverse_cdf,
-    minmax_erm,
     sample_size_for,
-    sample_training_set,
 )
 from .seeding import derive_seed, rng_for
 from .serialize import rational_from_str, rational_to_str
@@ -283,10 +281,10 @@ class _AdversarialContext:
         self.lbf = lower_bound_family(
             self.hc, self.base.family, clean, self.base.certificate(), tau, family_alpha
         )
-        pool = (clean,) + tuple(
+        self.pool = (clean,) + tuple(
             self.base.family.domains[j] for j in self.lbf.shattered_indices
         ) + self.lbf.flipped
-        self.matrix = ErrorMatrix(self.hc, pool)
+        self.matrix = ErrorMatrix(self.hc, self.pool)
         self.d = self.lbf.d
 
     def support_indices(self, bits: tuple[int, ...]) -> list[int]:
@@ -297,7 +295,7 @@ class _AdversarialContext:
 
 def _learn(
     matrix: ErrorMatrix,
-    hc: HypothesisClass,
+    picks: Sequence[Callable[[float], int]],
     meta: MetaDistribution,
     columns: Sequence[int],
     n: int,
@@ -308,18 +306,21 @@ def _learn(
     """Fit the min-max learner on n domain draws from meta.
 
     columns[i] is the matrix column of meta's domain i. With `points` None the
-    learner sees the drawn domains' exact errors; otherwise empirical errors on
-    that many sampled points per draw. Returns the chosen hypothesis, its
-    largest exact error over the drawn domains, its domain risk at tau, and the
-    drawn meta indices.
+    learner sees the drawn domains' exact errors; otherwise its mistakes on
+    the points `sample_training_set` would draw, that many per draw, counted
+    per atom, with picks[c] the point sampler of column c. Returns the chosen
+    hypothesis, its largest exact error over the drawn domains, its domain
+    risk at tau, and the drawn meta indices.
     """
+    indices, _ = draw_domain_indices(meta, n, train_seed)
     if points is None:
-        indices, _ = draw_domain_indices(meta, n, train_seed)
         hat, max_train = matrix.minmax(columns[i] for i in indices)
     else:
-        ts = sample_training_set(meta, n, points, train_seed)
-        indices = ts.domain_indices
-        hat = minmax_erm(estimate_errors(hc, ts))
+        samples = {
+            matrix.mistakes(c, draw_atoms(picks[c], points, train_seed, i))
+            for i, c in enumerate(columns[j] for j in indices)
+        }
+        hat, _ = argmin_max(samples)
         max_train = max(matrix.error(hat, columns[i]) for i in set(indices))
     risk = sum(
         (w for w, c in zip(meta.weights, columns) if matrix.error(hat, c) > tau),
@@ -415,6 +416,7 @@ def _check_margin(
 
 def _run_scaling_adversarial(cfg: ScalingConfig) -> ExperimentReport:
     adv = _AdversarialContext(cfg.family_alpha, BASE_RATE)
+    picks = [inverse_cdf([a.mass for a in d.atoms]) for d in adv.pool]
     tau = cfg.tau if cfg.tau is not None else adv.lbf.threshold_floor() - cfg.tau_margin
     alpha = _resolve_alpha(cfg)
     epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
@@ -429,7 +431,7 @@ def _run_scaling_adversarial(cfg: ScalingConfig) -> ExperimentReport:
         meta = adversarial_meta(adv.lbf, bits, gamma)
         train_seed = derive_seed(cfg.seed, "scaling", n, trial, "train")
         hat, max_train, er, _ = _learn(
-            adv.matrix, adv.hc, meta, columns, n, train_seed, tau,
+            adv.matrix, picks, meta, columns, n, train_seed, tau,
             _points_per_draw(cfg, n, len(adv.hc)),
         )
         return TrialRow(
@@ -461,6 +463,7 @@ def _run_scaling_fixed(cfg: ScalingConfig) -> ExperimentReport:
         weights = (Fraction(1),)
     meta = MetaDistribution(family, weights)
     matrix = ErrorMatrix(hc, family.domains)
+    picks = [inverse_cdf([a.mass for a in d.atoms]) for d in family.domains]
     _, tau_star = matrix.minmax(meta.support())
     _check_margin(tau_star, tau, alpha, epsilon)
     columns = range(len(family))
@@ -469,7 +472,7 @@ def _run_scaling_fixed(cfg: ScalingConfig) -> ExperimentReport:
         seed = derive_seed(cfg.seed, "scaling", n, trial)
         train_seed = derive_seed(cfg.seed, "scaling", n, trial, "train")
         hat, max_train, er, _ = _learn(
-            matrix, hc, meta, columns, n, train_seed, tau, _points_per_draw(cfg, n, len(hc))
+            matrix, picks, meta, columns, n, train_seed, tau, _points_per_draw(cfg, n, len(hc))
         )
         return TrialRow("scaling", n, trial, seed, hat, er, max_train, {})
 
@@ -489,12 +492,15 @@ def exposure_trial(
     """Draw n universe points and find the largest exact 1-mass among concepts
     evaluating to 0 on every drawn point. Returns (mass, concept index or -1,
     drawn points); a violation at rate gamma means mass > gamma."""
+    if len(weights) != pcc.universe_size:
+        raise ValueError(f"{len(weights)} weights for a universe of {pcc.universe_size}")
     draw = inverse_cdf(weights)
     points = [draw(rng.random()) for _ in range(n)]
+    distinct = set(points)
     exposed = ZERO
     exposed_idx = -1
     for ci, concept in enumerate(pcc.concepts):
-        if all(concept[p] == 0 for p in points):
+        if all(concept[p] == 0 for p in distinct):
             mass = sum(
                 (weights[u] for u in range(pcc.universe_size) if concept[u] == 1),
                 start=ZERO,
@@ -582,7 +588,7 @@ def run_lower_bound(cfg: LowerBoundConfig, threads: int = 1) -> ExperimentReport
         meta = adversarial_meta(adv.lbf, bits, cfg.gamma)
         train_seed = derive_seed(cfg.seed, "lb", cfg.n, trial, "train")
         hat, max_train, er, indices = _learn(
-            adv.matrix, adv.hc, meta, columns, cfg.n, train_seed, tau_prime, None
+            adv.matrix, (), meta, columns, cfg.n, train_seed, tau_prime, None
         )
         seen = {i - 1 for i in indices if i >= 1}
         unseen = [t for t in range(adv.d) if t not in seen]

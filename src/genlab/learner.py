@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Sequence
+from functools import partial
+from itertools import accumulate, islice
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     ZERO,
@@ -22,7 +24,8 @@ from .core import (
     LabeledDistribution,
     LabeledSample,
     MetaDistribution,
-    empirical_error,
+    argmin_max,
+    error_column,
 )
 from .seeding import derive_seed, rng_for
 
@@ -77,24 +80,40 @@ class ErrorTable:
 
 
 def inverse_cdf(weights: Sequence[Fraction]) -> Callable[[float], int]:
-    """Inverse-CDF sampler over the given masses.
+    """Inverse-CDF sampler over masses that are non-negative and sum to 1.
 
     The returned function maps a uniform variate u in [0, 1) to the first
-    index whose cumulative mass strictly exceeds u, so zero-mass buckets are
-    never picked. Exact: cumulative masses are integer numerators C over their
-    common denominator L, u is read as its exact integer ratio p/q, and
-    u < C/L iff floor(p*L/q) < C.
+    index k whose cumulative mass C_k/L strictly exceeds u, so zero-mass
+    buckets are never picked. It is `bisect_right` over float thresholds,
+    t_k the smallest double >= C_k/L: the int true division C_k/L rounds to
+    a nearest double, which steps up to the next double when it lies below
+    C_k/L. For every double u, u < C_k/L iff u < t_k. If u < C_k/L, then
+    u < C_k/L <= t_k. If u < t_k, then u < C_k/L, since otherwise u would be
+    a double >= C_k/L smaller than t_k. The last threshold is 1.0 exactly,
+    so every u in [0, 1) falls in a bucket.
     """
     weights = [Fraction(w) for w in weights]
+    if any(w < 0 for w in weights):
+        raise ValueError("sampler weights must be non-negative")
     den = math.lcm(*(w.denominator for w in weights))
     cum = list(accumulate(w.numerator * (den // w.denominator) for w in weights))
-    last = len(cum) - 1
+    if not cum or cum[-1] != den:
+        raise ValueError(f"sampler weights must sum to 1, got {sum(weights)}")
+    thresholds = []
+    for c in cum:
+        t = c / den
+        p, q = t.as_integer_ratio()
+        if p * den < c * q:  # t < c/den
+            t = math.nextafter(t, math.inf)
+        thresholds.append(t)
+    return partial(bisect_right, thresholds)
 
-    def draw(u: float) -> int:
-        p, q = u.as_integer_ratio()
-        return min(bisect_right(cum, p * den // q), last)
 
-    return draw
+def draw_atoms(pick: Callable[[float], int], m: int, master_seed: int, draw: int) -> Iterator[int]:
+    """Atom index of each of the m points of sample `draw`, in order: one
+    uniform each from rng_for(master_seed, "points", draw) through `pick`."""
+    rng = rng_for(master_seed, "points", draw)
+    return map(pick, islice(iter(rng.random, None), m))  # random() is never None
 
 
 def draw_domain_indices(
@@ -113,13 +132,6 @@ def draw_domain_indices(
     return tuple(indices), tuple(seeds)
 
 
-def _sample_points(d: LabeledDistribution, m: int, master_seed: int, draw: int) -> LabeledSample:
-    pick = inverse_cdf([a.mass for a in d.atoms])
-    rng = rng_for(master_seed, "points", draw)
-    atoms = [d.atoms[pick(rng.random())] for _ in range(m)]
-    return LabeledSample(tuple((a.x, a.y) for a in atoms))
-
-
 def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> TrainingSet:
     """Draw n domains from p, then m labeled points from each drawn domain.
 
@@ -129,18 +141,26 @@ def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> Train
     if m < 1:
         raise ValueError("need at least one point per sampled domain")
     indices, seeds = draw_domain_indices(p, n, seed)
+    domains = p.family.domains
+    picks = {j: inverse_cdf([a.mass for a in domains[j].atoms]) for j in set(indices)}
     samples = tuple(
-        _sample_points(p.family.domains[j], m, seed, i) for i, j in enumerate(indices)
+        LabeledSample(tuple(domains[j].atoms[k][:2] for k in draw_atoms(picks[j], m, seed, i)))
+        for i, j in enumerate(indices)
     )
     return TrainingSet(indices, samples, seed, seeds)
 
 
 def estimate_errors(hc: HypothesisClass, t: TrainingSet) -> ErrorTable:
-    """Empirical error of every hypothesis on every sample of the training set."""
-    rows = tuple(
-        tuple(empirical_error(h, s) for s in t.samples) for h in hc.members
-    )
-    return ErrorTable(rows, "empirical")
+    """Empirical error of every hypothesis on every sample of the training set;
+    each distinct point of a sample is scored once, weighted by its count."""
+    labelings = [h.labels for h in hc.members]
+    columns = []
+    for s in t.samples:
+        if len(s) == 0:
+            raise ValueError("empirical error over an empty sample is undefined")
+        wrong = error_column(labelings, ((x, y, c) for (x, y), c in Counter(s.points).items()))
+        columns.append([Fraction(w, len(s)) for w in wrong])
+    return ErrorTable(tuple(zip(*columns)), "empirical")
 
 
 def exact_error_table(
@@ -155,14 +175,7 @@ def exact_error_table(
 
 def minmax_erm(table: ErrorTable) -> int:
     """Index minimizing the worst column error; ties break to the lowest index."""
-    best: Fraction | None = None
-    best_idx = -1
-    for i, row in enumerate(table.entries):
-        worst = max(row)
-        if best is None or worst < best:
-            best = worst
-            best_idx = i
-    return best_idx
+    return argmin_max(zip(*table.entries))[0]
 
 
 def pooled_erm(table: ErrorTable, weights: Sequence[Fraction]) -> int:

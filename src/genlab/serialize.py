@@ -11,9 +11,10 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 from .core import (
     Atom,
@@ -254,14 +255,16 @@ def load_certificate(path: Path | str) -> ShatteringCertificate:
     return certificate_from_dict(_read_json(path))
 
 
-def write_text_atomic(path: Path | str, text: str) -> None:
-    """Stage to a sibling temp file and rename into place."""
+@contextmanager
+def _staged(path: Path | str) -> Iterator[TextIO]:
+    """A text file handle staged in a sibling temp file, renamed into place
+    when the block exits cleanly and deleted when it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -269,5 +272,13 @@ def write_text_atomic(path: Path | str, text: str) -> None:
         raise
 
 
+def write_text_atomic(path: Path | str, text: str) -> None:
+    with _staged(path) as fh:
+        fh.write(text)
+
+
 def write_json_atomic(path: Path | str, obj: Any) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Stream indented, key-sorted JSON and a final newline into place."""
+    with _staged(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -157,3 +157,18 @@ class TestFiles:
         assert text.endswith("\n")
         assert list(json.loads(text)) == ["b", "a"] or text.index('"a"') < text.index('"b"')
         assert os.listdir(tmp_path) == ["obj.json"]
+
+    def test_streamed_json_matches_one_shot_bytes(self, tmp_path):
+        obj = {"z": [1, 2.5, None, {"é": "ü", "a": []}], "rows": [{"k": i} for i in range(50)]}
+        target = tmp_path / "obj.json"
+        write_json_atomic(target, obj)
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert target.read_bytes() == expected.encode("utf-8")
+
+    def test_failed_json_write_leaves_nothing(self, tmp_path):
+        target = tmp_path / "obj.json"
+        write_json_atomic(target, {"kept": 1})
+        with pytest.raises(TypeError):
+            write_json_atomic(target, {"a": 1, "b": object()})
+        assert os.listdir(tmp_path) == ["obj.json"]
+        assert json.loads(target.read_text()) == {"kept": 1}
