@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -103,11 +103,15 @@ class LabeledDistribution:
     """A finite distribution over labeled instances (a "domain").
 
     Atoms are canonicalized: sorted by (x, y), strictly positive masses, masses
-    sum to exactly 1. Equality is therefore canonical equality.
+    sum to exactly 1. Equality is therefore canonical equality. `weighted`
+    holds each atom as (x, y, mass numerator over `denominator`), the LCM of
+    the atoms' mass denominators.
     """
 
     space: int
     atoms: tuple[Atom, ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    weighted: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_space(self.space)
@@ -115,7 +119,6 @@ class LabeledDistribution:
         if not atoms:
             raise ValueError("distribution needs at least one atom")
         seen: set[tuple[int, int]] = set()
-        total = ZERO
         for a in atoms:
             if not (0 <= a.x < self.space):
                 raise ValueError(f"atom instance {a.x} outside space of size {self.space}")
@@ -126,10 +129,14 @@ class LabeledDistribution:
             if (a.x, a.y) in seen:
                 raise ValueError(f"duplicate atom for (x={a.x}, y={a.y})")
             seen.add((a.x, a.y))
-            total += a.mass
-        if total != 1:
-            raise ValueError(f"atom masses must sum to 1, got {total}")
+        den = math.lcm(*(a.mass.denominator for a in atoms))
+        weighted = tuple((a.x, a.y, a.mass.numerator * (den // a.mass.denominator)) for a in atoms)
+        total = sum(w for _, _, w in weighted)
+        if total != den:
+            raise ValueError(f"atom masses must sum to 1, got {Fraction(total, den)}")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "weighted", weighted)
 
     def support(self) -> tuple[int, ...]:
         """Distinct instances carrying mass, ascending."""
@@ -201,10 +208,12 @@ class LabeledSample:
 
 
 def domain_error(h: Hypothesis, d: LabeledDistribution) -> Fraction:
-    """Exact misclassification mass of h under d."""
+    """Exact misclassification mass of h under d, summed on d's integer
+    numerators."""
     if h.space != d.space:
         raise SpaceMismatchError(f"hypothesis space {h.space} != domain space {d.space}")
-    return sum((a.mass for a in d.atoms if h.labels[a.x] != a.y), start=ZERO)
+    labels = h.labels
+    return Fraction(sum(w for x, y, w in d.weighted if labels[x] != y), d.denominator)
 
 
 def error_column(
@@ -231,11 +240,15 @@ def argmin_max(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
 class ErrorMatrix:
     """Exact error of every hypothesis of a class on every domain of a list.
 
-    Built once per (class, domain list); every reader of exact errors except
-    `verify_certificate` goes through one. Column j holds the errors on domain
-    j as integer numerators over one common `denominator`, the LCM of all
-    atom-mass denominators, so comparisons, maxima and gaps run on ints and
-    `Fraction`s appear only in return values. Row i is hypothesis i.
+    Built once per (class, domain list); every reader of a class's exact
+    errors over a domain list goes through one. Single errors come from
+    `domain_error`, which shares no code with this class: `verify_certificate`
+    must not share code with the search it checks, and `domain_risk` and the
+    clean-domain check of `lower_bound_family` also call it. Column j holds
+    the errors on domain j as integer numerators over one common
+    `denominator`, the LCM of all atom-mass denominators, so comparisons,
+    maxima and gaps run on ints and `Fraction`s appear only in return values.
+    Row i is hypothesis i.
     """
 
     def __init__(self, hc: HypothesisClass, domains: Sequence[LabeledDistribution]) -> None:
@@ -245,13 +258,12 @@ class ErrorMatrix:
                 raise SpaceMismatchError(
                     f"domain {j} has space {d.space}, class space is {hc.space}"
                 )
-        den = math.lcm(*(a.mass.denominator for d in domains for a in d.atoms))
+        den = math.lcm(*(d.denominator for d in domains))
         labelings = [h.labels for h in hc.members]
         columns = []
         for j, d in enumerate(domains):
-            column = error_column(labelings, (
-                (a.x, a.y, a.mass.numerator * (den // a.mass.denominator)) for a in d.atoms
-            ))
+            scale = den // d.denominator
+            column = error_column(labelings, ((x, y, w * scale) for x, y, w in d.weighted))
             if min(column) < 0 or max(column) > den:
                 raise ValueError(f"domain {j} yields an error outside [0, 1]")
             columns.append(column)

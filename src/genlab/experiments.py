@@ -483,6 +483,33 @@ def _run_scaling_fixed(cfg: ScalingConfig) -> ExperimentReport:
     return ExperimentReport("scaling", cfg.to_dict(), tuple(rows), agg)
 
 
+def _exposure(
+    pcc: PartialConceptClass, weights: Sequence[Fraction]
+) -> Callable[[int, Any], tuple[Fraction, int, tuple[int, ...]]]:
+    """`exposure_trial` for a fixed class and weights: the sampler and each
+    concept's exact 1-mass are built once, for every trial."""
+    if len(weights) != pcc.universe_size:
+        raise ValueError(f"{len(weights)} weights for a universe of {pcc.universe_size}")
+    draw = inverse_cdf(weights)
+    masses = [
+        sum((w for w, v in zip(weights, concept) if v == 1), start=ZERO)
+        for concept in pcc.concepts
+    ]
+
+    def trial(n: int, rng: Any) -> tuple[Fraction, int, tuple[int, ...]]:
+        points = [draw(rng.random()) for _ in range(n)]
+        distinct = set(points)
+        exposed = ZERO
+        exposed_idx = -1
+        for ci, concept in enumerate(pcc.concepts):
+            if masses[ci] > exposed and all(concept[p] == 0 for p in distinct):
+                exposed = masses[ci]
+                exposed_idx = ci
+        return exposed, exposed_idx, tuple(points)
+
+    return trial
+
+
 def exposure_trial(
     pcc: PartialConceptClass,
     weights: Sequence[Fraction],
@@ -492,23 +519,7 @@ def exposure_trial(
     """Draw n universe points and find the largest exact 1-mass among concepts
     evaluating to 0 on every drawn point. Returns (mass, concept index or -1,
     drawn points); a violation at rate gamma means mass > gamma."""
-    if len(weights) != pcc.universe_size:
-        raise ValueError(f"{len(weights)} weights for a universe of {pcc.universe_size}")
-    draw = inverse_cdf(weights)
-    points = [draw(rng.random()) for _ in range(n)]
-    distinct = set(points)
-    exposed = ZERO
-    exposed_idx = -1
-    for ci, concept in enumerate(pcc.concepts):
-        if all(concept[p] == 0 for p in distinct):
-            mass = sum(
-                (weights[u] for u in range(pcc.universe_size) if concept[u] == 1),
-                start=ZERO,
-            )
-            if mass > exposed:
-                exposed = mass
-                exposed_idx = ci
-    return exposed, exposed_idx, tuple(points)
+    return _exposure(pcc, weights)(n, rng)
 
 
 def run_uniform_convergence(
@@ -527,11 +538,11 @@ def run_uniform_convergence(
     pcc = induce_partial_class(base.slice.hypothesis_class, base.family, query)
     dimension = partial_vc_dim(pcc).dimension
     universe = pcc.universe_size
-    weights = tuple(Fraction(1, universe) for _ in range(universe))
+    exposure = _exposure(pcc, tuple(Fraction(1, universe) for _ in range(universe)))
 
     def one(n: int, trial: int) -> TrialRow:
         seed = derive_seed(cfg.seed, "uc", n, trial)
-        exposed, exposed_idx, points = exposure_trial(pcc, weights, n, random.Random(seed))
+        exposed, exposed_idx, points = exposure(n, random.Random(seed))
         return TrialRow(
             "uniform-convergence", n, trial, seed, exposed_idx, exposed, None,
             {"distinct_points": len(set(points))},

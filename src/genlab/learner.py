@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Sequence
 
@@ -27,7 +27,7 @@ from .core import (
     argmin_max,
     error_column,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seeds, rng_for
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,9 @@ def inverse_cdf(weights: Sequence[Fraction]) -> Callable[[float], int]:
     return partial(bisect_right, thresholds)
 
 
+_domain_sampler = lru_cache(maxsize=64)(inverse_cdf)
+
+
 def draw_atoms(pick: Callable[[float], int], m: int, master_seed: int, draw: int) -> Iterator[int]:
     """Atom index of each of the m points of sample `draw`, in order: one
     uniform each from rng_for(master_seed, "points", draw) through `pick`."""
@@ -119,16 +122,24 @@ def draw_atoms(pick: Callable[[float], int], m: int, master_seed: int, draw: int
 def draw_domain_indices(
     p: MetaDistribution, n: int, master_seed: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """n i.i.d. domain indices by inverse CDF, with the per-draw seeds used."""
+    """n i.i.d. domain indices by inverse CDF, with the per-draw seeds used.
+
+    Draw i is the first `random()` of `random.Random(derive_seed(master_seed,
+    "domain", i))`. One generator is reseeded per draw through the C-level
+    `seed` that `random.Random.seed` delegates an int to, so each draw sees
+    the same Mersenne Twister state as a fresh generator. The sampler is
+    memoized by weights, so metas that differ only in their domains share it.
+    """
     if n < 1:
         raise ValueError("need at least one domain draw")
-    draw = inverse_cdf(p.weights)
+    pick = _domain_sampler(p.weights)
+    seeds = derive_seeds(master_seed, "domain", count=n)
+    rng = random.Random()
+    reseed, uniform = super(random.Random, rng).seed, rng.random
     indices = []
-    seeds = []
-    for i in range(n):
-        seed = derive_seed(master_seed, "domain", i)
-        indices.append(draw(random.Random(seed).random()))
-        seeds.append(seed)
+    for seed in seeds:
+        reseed(seed)
+        indices.append(pick(uniform()))
     return tuple(indices), tuple(seeds)
 
 

@@ -17,5 +17,19 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def derive_seeds(master: int, *parts: object, count: int) -> list[int]:
+    """derive_seed(master, *parts, i) for i in range(count). The text the seeds
+    share, up to the colon before the index, is hashed once; each seed hashes
+    only its index, on a copy of that state."""
+    prefix = ":".join([str(int(master)), *(str(p) for p in parts), ""])
+    state = hashlib.sha256(prefix.encode("ascii"))
+    seeds = []
+    for i in range(count):
+        h = state.copy()
+        h.update(b"%d" % i)
+        seeds.append(int.from_bytes(h.digest()[:8], "big"))
+    return seeds
+
+
 def rng_for(master: int, *parts: object) -> random.Random:
     return random.Random(derive_seed(master, *parts))

@@ -52,6 +52,13 @@ def _field(obj: Any, key: str, kind: type, what: str) -> Any:
     return obj[key]
 
 
+def _int(value: Any, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not coerced."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def rational_to_str(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
@@ -82,10 +89,10 @@ def domain_to_dict(d: LabeledDistribution) -> dict[str, Any]:
 def domain_from_dict(obj: dict[str, Any]) -> LabeledDistribution:
     try:
         atoms = tuple(
-            Atom(int(a["x"]), int(a["y"]), rational_from_str(a["mass"]))
+            Atom(_int(a["x"], "atom x"), _int(a["y"], "atom y"), rational_from_str(a["mass"]))
             for a in obj["atoms"]
         )
-        return LabeledDistribution(int(obj["space"]), atoms)
+        return LabeledDistribution(_int(obj["space"], "domain space"), atoms)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed domain object: {exc}") from exc
 
@@ -97,9 +104,10 @@ def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
 def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
     try:
         members = tuple(
-            Hypothesis(tuple(int(v) for v in row)) for row in obj["hypotheses"]
+            Hypothesis(tuple(_int(v, "hypothesis label") for v in row))
+            for row in obj["hypotheses"]
         )
-        return HypothesisClass(int(obj["space"]), members)
+        return HypothesisClass(_int(obj["space"], "class space"), members)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed hypothesis class object: {exc}") from exc
 

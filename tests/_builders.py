@@ -26,6 +26,26 @@ def random_domain(rng: random.Random, space: int, max_support: int = 4) -> Label
     return LabeledDistribution(space, tuple(atoms))
 
 
+def primes(count: int, start: int) -> list[int]:
+    found = []
+    p = start
+    while len(found) < count:
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            found.append(p)
+        p += 1
+    return found
+
+
+def prime_domain(rng: random.Random, space: int, prime: int) -> LabeledDistribution:
+    """Up to 5 atoms whose masses all have the prime as denominator."""
+    size = rng.randint(1, min(5, 2 * space))
+    cuts = sorted(rng.sample(range(1, prime), size - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [prime])]
+    keys = rng.sample([(x, y) for x in range(space) for y in (0, 1)], size)
+    atoms = tuple(Atom(x, y, Fraction(w, prime)) for (x, y), w in zip(keys, parts))
+    return LabeledDistribution(space, atoms)
+
+
 def random_class(rng: random.Random, space: int, size: int) -> HypothesisClass:
     size = min(size, 2**space)
     seen: set[tuple[int, ...]] = set()

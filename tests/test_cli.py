@@ -171,6 +171,32 @@ class TestDimensionCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and reason in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda c, f: c["hypotheses"][0].__setitem__(slice(0, 2), [0.9, 1.7]),
+        lambda c, f: c["hypotheses"][0].__setitem__(1, "1"),
+        lambda c, f: c["hypotheses"][0].__setitem__(1, True),
+        lambda c, f: c.__setitem__("space", 10.0),
+        lambda c, f: c.__setitem__("space", "10"),
+        lambda c, f: f["domains"][0]["atoms"][2].__setitem__("x", 0.6),
+        lambda c, f: f["domains"][0]["atoms"][2].__setitem__("x", "1"),
+        lambda c, f: f["domains"][0]["atoms"][2].__setitem__("y", 1.0),
+        lambda c, f: f["domains"][0]["atoms"][2].__setitem__("y", True),
+        lambda c, f: f["domains"][0].__setitem__("space", True),
+    ], ids=["labels-0.9-1.7", "label-str", "label-true", "space-float", "space-str",
+            "x-0.6", "x-str", "y-float", "y-true", "domain-space-true"])
+    def test_non_integer_values_refused(self, built, capsys, edit):
+        cls = json.loads((built / "class.json").read_text())
+        fam = json.loads((built / "family.json").read_text())
+        edit(cls, fam)
+        (built / "bad_class.json").write_text(json.dumps(cls))
+        (built / "bad_family.json").write_text(json.dumps(fam))
+        code, out, err = run(
+            capsys, "gdim", "--class", str(built / "bad_class.json"),
+            "--domains", str(built / "bad_family.json"), "--tau", "3/10", "--alpha", "1/50",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "JSON integer" in err and "Traceback" not in err
+
     def test_certificate_witness_list_refused(self, built, capsys):
         cert = json.loads((built / "certificate.json").read_text())
         cert["witnesses"] = list(cert["witnesses"].values())

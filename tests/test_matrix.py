@@ -33,30 +33,12 @@ from genlab import (
 from genlab.core import ErrorMatrix
 from genlab.learner import inverse_cdf
 
+from _builders import prime_domain, primes
+
 F = Fraction
 SPACE = 8
 HYPOTHESES = 120
 RANDOM_DOMAINS = 32
-
-
-def primes(count, start):
-    found = []
-    p = start
-    while len(found) < count:
-        if all(p % q for q in range(2, int(p**0.5) + 1)):
-            found.append(p)
-        p += 1
-    return found
-
-
-def prime_domain(rng, prime):
-    """Up to 5 atoms whose masses all have the prime as denominator."""
-    size = rng.randint(1, 5)
-    cuts = sorted(rng.sample(range(1, prime), size - 1))
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [prime])]
-    keys = rng.sample([(x, y) for x in range(SPACE) for y in (0, 1)], size)
-    atoms = tuple(Atom(x, y, F(w, prime)) for (x, y), w in zip(keys, parts))
-    return LabeledDistribution(SPACE, atoms)
 
 
 def coin(x):
@@ -71,7 +53,7 @@ def instance():
     hc = HypothesisClass(
         SPACE, tuple(Hypothesis(tuple(c >> x & 1 for x in range(SPACE))) for c in codes)
     )
-    domains = [prime_domain(rng, p) for p in primes(RANDOM_DOMAINS, 11)]
+    domains = [prime_domain(rng, SPACE, p) for p in primes(RANDOM_DOMAINS, 11)]
     domains[5:5] = [coin(0), coin(1)]  # a pair no hypothesis qualifies on below 1/2
     return hc, DomainFamily(SPACE, tuple(domains))
 
