@@ -84,8 +84,8 @@ def _resolve_seed(cli_seed: int | None, config_seed: int | None = None) -> int:
     else:
         env = os.environ.get("GENLAB_SEED")
         seed = int(env) if env is not None else DEFAULT_SEED
-    if not (0 <= seed < 1 << 64):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if type(seed) is not int or not (0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return seed
 
 

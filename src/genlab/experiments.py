@@ -20,8 +20,10 @@ import json
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, ClassVar, Sequence, TypeVar
 
 from .constructions import (
@@ -51,26 +53,38 @@ from .learner import (
     inverse_cdf,
     sample_size_for,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed, derive_seeds, rng_for
 from .serialize import rational_from_str, rational_to_str
 
 SCALING_GENERATORS = ("adversarial-meta", "uniform-shattered", "point-mass")
 
 
-def _check_grid(grid: Sequence[int]) -> tuple[int, ...]:
-    grid = tuple(int(n) for n in grid)
-    if not grid or any(n < 1 for n in grid):
-        raise ValueError("n grid must list positive integers")
+def _json_int(value: Any) -> int:
+    if type(value) is not int:
+        raise ValueError(f"must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(value: Any) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"must be a JSON list of integers, got {value!r}")
+    return tuple(map(_json_int, value))
+
+
+def _check_grid(grid: Sequence[int], name: str = "n") -> tuple[int, ...]:
+    grid = tuple(grid)
+    if not grid or any(type(n) is not int or n < 1 for n in grid):
+        raise ValueError(f"{name} grid must list positive integers")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("n grid must be strictly increasing")
+        raise ValueError(f"{name} grid must be strictly increasing")
     return grid
 
 
 # Config value parsers, keyed by the field annotation.
 _PARSERS = {
     "str": str,
-    "int": int,
-    "tuple[int, ...]": tuple,
+    "int": _json_int,
+    "tuple[int, ...]": _json_ints,
     "Fraction": rational_from_str,
     "Fraction | None": rational_from_str,
 }
@@ -95,7 +109,10 @@ class _Config:
         values = {}
         for f in specs:
             if obj.get(f.name) is not None:
-                values[f.name] = _PARSERS[f.type](obj[f.name])
+                try:
+                    values[f.name] = _PARSERS[f.type](obj[f.name])
+                except ValueError as exc:
+                    raise ValueError(f"{cls.experiment} config {f.name!r} {exc}") from exc
             elif f.default is MISSING:
                 raise ValueError(f"{cls.experiment} config needs {f.name!r}")
         return cls(**values)
@@ -157,10 +174,7 @@ class UniformConvergenceConfig(_Config):
         object.__setattr__(self, "n_grid", _check_grid(self.n_grid))
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        c_grid = tuple(int(c) for c in self.c_grid)
-        if not c_grid or any(c < 1 for c in c_grid) or list(c_grid) != sorted(set(c_grid)):
-            raise ValueError("c grid must be strictly increasing positive integers")
-        object.__setattr__(self, "c_grid", c_grid)
+        object.__setattr__(self, "c_grid", _check_grid(self.c_grid, "c"))
         if not (0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -483,11 +497,12 @@ def _run_scaling_fixed(cfg: ScalingConfig) -> ExperimentReport:
     return ExperimentReport("scaling", cfg.to_dict(), tuple(rows), agg)
 
 
-def _exposure(
+def _masked_exposure(
     pcc: PartialConceptClass, weights: Sequence[Fraction]
-) -> Callable[[int, Any], tuple[Fraction, int, tuple[int, ...]]]:
-    """`exposure_trial` for a fixed class and weights: the sampler and each
-    concept's exact 1-mass are built once, for every trial."""
+) -> tuple[Callable[[float], int], Callable[[int], tuple[Fraction, int]]]:
+    """The point sampler, and the (1-mass, index) a bit mask of drawn points
+    exposes: the first concept 0 on all of them in order of descending positive
+    1-mass (a stable sort keeps the lowest index first), or (0, -1). Memoized."""
     if len(weights) != pcc.universe_size:
         raise ValueError(f"{len(weights)} weights for a universe of {pcc.universe_size}")
     draw = inverse_cdf(weights)
@@ -495,17 +510,26 @@ def _exposure(
         sum((w for w, v in zip(weights, concept) if v == 1), start=ZERO)
         for concept in pcc.concepts
     ]
+    zero_sets = [sum(1 << p for p, v in enumerate(c) if v == 0) for c in pcc.concepts]
+    order = sorted((ci for ci, m in enumerate(masses) if m > 0), key=lambda ci: -masses[ci])
+
+    @cache
+    def exposure(mask: int) -> tuple[Fraction, int]:
+        first = ((masses[ci], ci) for ci in order if zero_sets[ci] & mask == mask)
+        return next(first, (ZERO, -1))
+
+    return draw, exposure
+
+
+def _exposure(
+    pcc: PartialConceptClass, weights: Sequence[Fraction]
+) -> Callable[[int, Any], tuple[Fraction, int, tuple[int, ...]]]:
+    """`exposure_trial` for a fixed class and weights, prepared once."""
+    draw, exposure = _masked_exposure(pcc, weights)
 
     def trial(n: int, rng: Any) -> tuple[Fraction, int, tuple[int, ...]]:
-        points = [draw(rng.random()) for _ in range(n)]
-        distinct = set(points)
-        exposed = ZERO
-        exposed_idx = -1
-        for ci, concept in enumerate(pcc.concepts):
-            if masses[ci] > exposed and all(concept[p] == 0 for p in distinct):
-                exposed = masses[ci]
-                exposed_idx = ci
-        return exposed, exposed_idx, tuple(points)
+        points = tuple(draw(rng.random()) for _ in range(n))
+        return (*exposure(sum(1 << p for p in set(points))), points)
 
     return trial
 
@@ -530,7 +554,9 @@ def run_uniform_convergence(
     The universe is the built family's domain list under the uniform
     distribution; concepts are the induced error-threshold concepts. A trial's
     exposed mass is the largest 1-mass among concepts evaluating to 0 on every
-    sampled point; a violation at rate gamma means exposed mass > gamma.
+    sampled point; a violation at rate gamma means exposed mass > gamma. A
+    trial is scored from the set of points it drew, so its draws stop once
+    every point has been seen.
     """
     _check_threads(threads)
     base = large_k_family(cfg.family_alpha)
@@ -538,17 +564,30 @@ def run_uniform_convergence(
     pcc = induce_partial_class(base.slice.hypothesis_class, base.family, query)
     dimension = partial_vc_dim(pcc).dimension
     universe = pcc.universe_size
-    exposure = _exposure(pcc, tuple(Fraction(1, universe) for _ in range(universe)))
+    draw, exposure = _masked_exposure(pcc, (Fraction(1, universe),) * universe)
+    full = (1 << universe) - 1
+    # One generator, reseeded per trial at C level: the state of random.Random(seed).
+    rng = random.Random()
+    reseed, uniform = super(random.Random, rng).seed, rng.random
 
-    def one(n: int, trial: int) -> TrialRow:
-        seed = derive_seed(cfg.seed, "uc", n, trial)
-        exposed, exposed_idx, points = exposure(n, random.Random(seed))
+    def one(n: int, trial: int, seed: int) -> TrialRow:
+        # The generator serves this trial alone, and the row depends only on
+        # the set of drawn points, so draws after the set is full change nothing.
+        reseed(seed)
+        mask = 0
+        for _ in range(n):
+            mask |= 1 << draw(uniform())
+            if mask == full:
+                break
+        exposed, exposed_idx = exposure(mask)
         return TrialRow(
             "uniform-convergence", n, trial, seed, exposed_idx, exposed, None,
-            {"distinct_points": len(set(points))},
+            {"distinct_points": mask.bit_count()},
         )
 
-    rows = [one(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
+    rows = [one(n, t, seed) for n in cfg.n_grid
+            for t, seed in enumerate(derive_seeds(cfg.seed, "uc", n, count=cfg.trials))]
+    tallies = Counter((r.n, r.er_exact) for r in rows)
     log_inv_delta = math.log(1.0 / float(cfg.delta))
     frequencies = []
     calibrated = None
@@ -558,7 +597,7 @@ def run_uniform_convergence(
         prev = None
         for n in cfg.n_grid:
             gamma = c * (dimension * math.log(n) ** 2 + log_inv_delta) / n
-            count = sum(1 for r in rows if r.n == n and r.er_exact > gamma)
+            count = sum(k for (m, mass), k in tallies.items() if m == n and mass > gamma)
             freq = Fraction(count, cfg.trials)
             per_n.append({
                 "n": n, "gamma": gamma, "count": count, "freq": float(freq),

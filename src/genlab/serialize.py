@@ -160,20 +160,19 @@ def certificate_to_dict(cert: ShatteringCertificate) -> dict[str, Any]:
 
 
 def certificate_from_dict(obj: dict[str, Any]) -> ShatteringCertificate:
-    try:
-        indices = tuple(int(i) for i in _field(obj, "S", list, "certificate object"))
-        table = {
-            int(k): int(v)
-            for k, v in _field(obj, "witnesses", dict, "certificate object").items()
-        }
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed certificate object: {exc}") from exc
+    """Witnesses are keyed by the decimal string of each subset bitmask, and
+    indices and witnesses are JSON integers."""
+    listed = _field(obj, "S", list, "certificate object")
+    indices = tuple(_int(i, "certificate index") for i in listed)
+    table = _field(obj, "witnesses", dict, "certificate object")
     size = 1 << len(indices)
-    if sorted(table) != list(range(size)):
+    if len(table) != size or table.keys() != {str(m) for m in range(size)}:
         raise CertificateError(
             f"certificate needs witnesses for all {size} subset bitmasks"
         )
-    return ShatteringCertificate(indices, tuple(table[m] for m in range(size)))
+    return ShatteringCertificate(
+        indices, tuple(_int(table[str(m)], "certificate witness") for m in range(size))
+    )
 
 
 def cover_to_dict(cover: Cover) -> dict[str, Any]:
@@ -187,8 +186,9 @@ def cover_to_dict(cover: Cover) -> dict[str, Any]:
 def cover_from_dict(obj: dict[str, Any]) -> Cover:
     try:
         tau = obj["tau"]
+        centers = _field(obj, "centers", list, "cover object")
         return Cover(
-            tuple(int(c) for c in obj["centers"]),
+            tuple(_int(c, "cover center") for c in centers),
             rational_from_str(obj["radius"]),
             DivergenceQuery(None if tau is None else rational_from_str(tau)),
         )
@@ -208,16 +208,16 @@ def training_set_to_dict(t: TrainingSet) -> dict[str, Any]:
 def training_set_from_dict(obj: dict[str, Any]) -> TrainingSet:
     try:
         samples = tuple(
-            LabeledSample(tuple((int(x), int(y)) for x, y in rows))
+            LabeledSample(tuple((_int(x, "sample x"), _int(y, "sample y")) for x, y in rows))
             for rows in obj["samples"]
         )
         return TrainingSet(
-            tuple(int(i) for i in obj["domain_indices"]),
+            tuple(_int(i, "domain index") for i in obj["domain_indices"]),
             samples,
-            int(obj["master_seed"]),
-            tuple(int(s) for s in obj["draw_seeds"]),
+            _int(obj["master_seed"], "master seed"),
+            tuple(_int(s, "draw seed") for s in obj["draw_seeds"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed training set object: {exc}") from exc
 
 
@@ -286,7 +286,8 @@ def write_text_atomic(path: Path | str, text: str) -> None:
 
 
 def write_json_atomic(path: Path | str, obj: Any) -> None:
-    """Stream indented, key-sorted JSON and a final newline into place."""
+    """Stream indented, key-sorted JSON and a final newline into place; one
+    `json.dumps` string of a large report would raise peak memory."""
     with _staged(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -210,6 +210,26 @@ class TestDimensionCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.__setitem__("S", [0.5, 1.7]),
+        lambda c: c["witnesses"].__setitem__("1", 1.9),
+        lambda c: c["witnesses"].__setitem__("2", True),
+        lambda c: c["witnesses"].__setitem__("3", "3"),
+        lambda c: c["witnesses"].__setitem__("01", c["witnesses"].pop("1")),
+    ], ids=["S-floats", "witness-float", "witness-bool", "witness-str", "key-leading-zero"])
+    def test_non_integer_certificate_refused(self, built, capsys, edit):
+        cert = json.loads((built / "certificate.json").read_text())
+        edit(cert)
+        bad = built / "bad_cert.json"
+        bad.write_text(json.dumps(cert))
+        code, out, err = run(
+            capsys, "verify-cert", "--class", str(built / "class.json"),
+            "--domains", str(built / "family.json"), "--cert", str(bad),
+            "--tau", "3/10", "--alpha", "1/50",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestLearnCommand:
     @pytest.fixture()
@@ -396,6 +416,37 @@ class TestExperimentCommands:
         )
         assert code == 0
         assert out.startswith("uniform-convergence: dimension=3 calibrated_c=")
+
+    UC = {
+        "experiment": "uniform-convergence", "family_alpha": "1/50",
+        "n_grid": [4, 8], "trials": 3, "seed": 42,
+    }
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials", 2.7), ("trials", "30"), ("trials", True), ("seed", True), ("seed", "30"),
+        ("seed", 2.0), ("n_grid", [1, 2.9]), ("n_grid", "12"), ("n_grid", 12),
+        ("n_grid", [1, True]), ("c_grid", "48"), ("c_grid", 8), ("c_grid", [1, 2.0]),
+    ])
+    def test_non_integer_config_values_refused(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "uc.json", {**self.UC, key: value})
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "experiment", "uniform-convergence", "--config", cfg, "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err and not out_dir.exists()
+
+    @pytest.mark.parametrize("edit", [
+        {"seed": 2**64 - 1}, {"seed": None}, {"tau": None, "delta": None, "c_grid": None},
+    ])
+    def test_integer_and_null_config_values_accepted(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path / "uc.json", {**self.UC, **edit})
+        code, out, _ = run(
+            capsys, "experiment", "uniform-convergence", "--config", cfg,
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 0 and out.startswith("uniform-convergence: dimension=3 ")
 
     def test_lower_bound_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "lb.json", {

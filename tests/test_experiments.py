@@ -62,6 +62,16 @@ class TestConfigs:
         with pytest.raises(ValueError):
             LowerBoundConfig.from_dict(obj)
 
+    @pytest.mark.parametrize("grids", [
+        {"n_grid": (4, 8.0)}, {"n_grid": "48"}, {"n_grid": (True, 2)},
+        {"c_grid": (1, 2.5)}, {"c_grid": "12"}, {"c_grid": (True, 2)},
+    ])
+    def test_grids_take_integers_only(self, grids):
+        with pytest.raises(ValueError, match="grid must list positive integers"):
+            UniformConvergenceConfig(**{
+                "family_alpha": F(1, 50), "n_grid": (4, 8), "trials": 5, "seed": 1, **grids
+            })
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             ScalingConfig("point-mass", F(1, 50), (8, 8), 5, 1)

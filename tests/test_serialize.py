@@ -120,6 +120,83 @@ class TestDictRoundTrips:
         assert error_table_from_dict(error_table_to_dict(table)) == table
 
 
+def _certificate_obj():
+    return certificate_to_dict(ShatteringCertificate((0, 1), (0, 1, 2, 3)))
+
+
+def _cover_obj():
+    return cover_to_dict(Cover((0, 2), F(1, 20), DivergenceQuery()))
+
+
+def _training_obj():
+    rng = random.Random(41008)
+    p = random_meta(rng, random_family(rng, 4, 3))
+    return training_set_to_dict(sample_training_set(p, 3, 2, 5))
+
+
+class TestIntegersNotCoerced:
+    """Indices, witnesses, centers, points and seeds load only as JSON
+    integers; floats, strings and booleans are refused, not truncated."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.__setitem__("S", [0.5, 1.7]),
+        lambda o: o["S"].__setitem__(1, "1"),
+        lambda o: o["S"].__setitem__(0, False),
+        lambda o: o["witnesses"].__setitem__("1", 1.9),
+        lambda o: o["witnesses"].__setitem__("2", True),
+        lambda o: o["witnesses"].__setitem__("3", "3"),
+    ], ids=["S-floats", "S-str", "S-bool", "witness-float", "witness-bool", "witness-str"])
+    def test_certificate(self, edit):
+        obj = _certificate_obj()
+        edit(obj)
+        with pytest.raises(FormatError):
+            certificate_from_dict(obj)
+
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1.0", "0x1"])
+    def test_certificate_keys_are_plain_decimals(self, key):
+        obj = _certificate_obj()
+        obj["witnesses"][key] = obj["witnesses"].pop("1")
+        with pytest.raises(CertificateError, match="all 4 subset bitmasks"):
+            certificate_from_dict(obj)
+
+    def test_certificate_with_many_indices_refused_without_enumerating(self):
+        obj = {"S": list(range(200)), "witnesses": {"0": 0}}
+        with pytest.raises(CertificateError):
+            certificate_from_dict(obj)
+
+    def test_certificate_values_named_in_error(self):
+        obj = {"S": [0, 1], "witnesses": {"0": 0, "1": 1.9, "2": True, "3": "3"}}
+        with pytest.raises(FormatError, match="witness must be a JSON integer, got 1.9"):
+            certificate_from_dict(obj)
+
+    @pytest.mark.parametrize("centers", [[0.9, 2.5], [0, "2"], [True, 2], "02", {"0": 0}])
+    def test_cover_centers(self, centers):
+        obj = _cover_obj()
+        obj["centers"] = centers
+        with pytest.raises(FormatError):
+            cover_from_dict(obj)
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o["samples"][0][0].__setitem__(0, 0.0),
+        lambda o: o["samples"][1][1].__setitem__(1, True),
+        lambda o: o["samples"][0].__setitem__(0, ["1", 0]),
+        lambda o: o["samples"][0].__setitem__(0, [1, 0, 1]),
+        lambda o: o["domain_indices"].__setitem__(0, 1.5),
+        lambda o: o["domain_indices"].__setitem__(2, True),
+        lambda o: o.__setitem__("master_seed", 5.0),
+        lambda o: o.__setitem__("master_seed", "5"),
+        lambda o: o["draw_seeds"].__setitem__(0, float(o["draw_seeds"][0])),
+        lambda o: o["draw_seeds"].__setitem__(1, str(o["draw_seeds"][1])),
+    ], ids=["x-float", "y-bool", "x-str", "point-arity", "index-float", "index-bool",
+            "master-float", "master-str", "draw-seed-float", "draw-seed-str"])
+    def test_training_set(self, edit):
+        obj = _training_obj()
+        assert training_set_from_dict(obj) == training_set_from_dict(_training_obj())
+        edit(obj)
+        with pytest.raises(FormatError):
+            training_set_from_dict(obj)
+
+
 class TestFiles:
     def test_family_entries_may_be_paths(self, tmp_path):
         rng = random.Random(41010)
