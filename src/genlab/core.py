@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
@@ -53,7 +55,7 @@ class Hypothesis:
         labels = tuple(self.labels)
         if len(labels) < 1:
             raise ValueError("hypothesis needs at least one instance")
-        if any(v not in (0, 1) for v in labels):
+        if labels.count(0) + labels.count(1) != len(labels):
             raise ValueError("hypothesis labels must be 0 or 1")
         object.__setattr__(self, "labels", labels)
 
@@ -219,12 +221,31 @@ def domain_error(h: Hypothesis, d: LabeledDistribution) -> Fraction:
 def error_column(
     labelings: Sequence[Sequence[int]], weighted: Iterable[tuple[int, int, int]]
 ) -> tuple[int, ...]:
-    """Total weight each labeling gets wrong over (x, y, weight) triples."""
-    cost: dict[int, list[int]] = {}  # cost[x][v]: weight a labeling with v at x gets wrong
+    """Total weight each labeling gets wrong over (x, y, weight) triples.
+
+    A labeling's error is `base`, the weight of the label-1 triples, plus the
+    gain of each point it labels 1. So it depends only on the labeling's
+    restriction to the points, and is summed once per distinct restriction."""
+    base = 0
+    gain: dict[int, int] = {}  # gain[x]: error added by labeling x 1 instead of 0
     for x, y, w in weighted:
-        cost.setdefault(x, [0, 0])[1 - y] += w
-    items = tuple(cost.items())
-    return tuple(sum(c[labels[x]] for x, c in items) for labels in labelings)
+        if y:
+            base += w
+            w = -w
+        gain[x] = gain.get(x, 0) + w
+    if not gain:
+        return (0,) * len(labelings)
+    # one point repeated with gain 0 keeps a single point's restriction a tuple
+    restrict = itemgetter(*gain, next(iter(gain)))
+    gains = (*gain.values(), 0)
+    error: dict[tuple[int, ...], int] = {}  # distinct restriction: its error
+    column = []
+    for r in map(restrict, labelings):
+        e = error.get(r)
+        if e is None:
+            e = error[r] = sum(compress(gains, r), base)
+        column.append(e)
+    return tuple(column)
 
 
 def argmin_max(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
@@ -297,10 +318,9 @@ class ErrorMatrix:
         None when no hypothesis qualifies."""
         a, b = self.columns[j], self.columns[k]
         if tau is None:
-            gaps = [abs(x - y) for x, y in zip(a, b)]
-        else:
-            limit = math.floor(tau * self.denominator)
-            gaps = [abs(x - y) for x, y in zip(a, b) if x <= limit or y <= limit]
+            return Fraction(max(map(abs, map(sub, a, b))), self.denominator)
+        limit = math.floor(tau * self.denominator)
+        gaps = [abs(x - y) for x, y in zip(a, b) if x <= limit or y <= limit]
         return Fraction(max(gaps), self.denominator) if gaps else None
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .core import (
@@ -251,8 +251,11 @@ def verify_certificate(
 ) -> bool:
     """Check every (subset, witness) pair against the strict error thresholds.
 
-    Evaluates errors directly; shares nothing with the gdim search path. Raises
-    CertificateError for out-of-range indices, returns False for value failures.
+    Evaluates errors directly; shares nothing with the gdim search path. Each
+    domain calls `domain_error` once per distinct witness restriction to its
+    support and keeps the verdict: 0 below tau - alpha, 1 above tau, None
+    between. Raises CertificateError for out-of-range indices, returns False
+    for value failures.
     """
     if hc.space != g.space:
         raise SpaceMismatchError(f"class space {hc.space} != family space {g.space}")
@@ -263,15 +266,17 @@ def verify_certificate(
         if not (0 <= w < len(hc)):
             raise CertificateError(f"certificate witness index {w} out of range")
     lo = q.tau - q.alpha
-    points = cert.domain_indices
-    for mask, w in enumerate(cert.witnesses):
-        h = hc.members[w]
-        for t, j in enumerate(points):
-            e = domain_error(h, g.domains[j])
-            if mask >> t & 1:
-                if not e < lo:
-                    return False
-            elif not e > q.tau:
+    witnesses = [hc.members[w] for w in cert.witnesses]
+    for t, j in enumerate(cert.domain_indices):
+        d = g.domains[j]
+        restrict = itemgetter(*d.support())
+        verdicts: dict[object, int | None] = {}
+        for mask, h in enumerate(witnesses):
+            key = restrict(h.labels)
+            if key not in verdicts:
+                e = domain_error(h, d)
+                verdicts[key] = 0 if e < lo else 1 if e > q.tau else None
+            if verdicts[key] != 1 - (mask >> t & 1):
                 return False
     return True
 

@@ -59,6 +59,8 @@ class Cover:
             raise ValueError(
                 f"cover center indices must be non-negative, got {self.center_indices}"
             )
+        if self.radius < 0:
+            raise ValueError(f"cover radius must be non-negative, got {self.radius}")
 
 
 def h_divergence(
@@ -92,7 +94,7 @@ def greedy_cover(
     q: DivergenceQuery = DivergenceQuery(),
 ) -> Cover:
     """Repeatedly open the lowest-index uncovered domain as a center and mark
-    everything within `radius` of it covered."""
+    everything within `radius` of it covered, the center itself included."""
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("cover radius must be non-negative")
@@ -104,18 +106,22 @@ def greedy_cover(
     while uncovered:
         c = min(uncovered)
         centers.append(c)
-        uncovered = {j for j in uncovered if not _within(m, j, c, radius, q)}
+        uncovered = {j for j in uncovered if j != c and not _within(m, j, c, radius, q)}
     return Cover(tuple(centers), radius, q)
 
 
 def cover_is_valid(cover: Cover, g: DomainFamily, hc: HypothesisClass) -> bool:
-    """Re-check that every domain lies within the radius of some center."""
+    """Re-check that every domain lies within the radius of some center. A
+    center covers itself: its divergence to itself is 0 (or no hypothesis
+    qualifies), within every radius, which `Cover` keeps non-negative."""
     for c in cover.center_indices:
         if not 0 <= c < len(g):
             raise ValueError(f"cover center index {c} out of range for {len(g)} domains")
     m = ErrorMatrix(hc, g.domains)
+    centers = set(cover.center_indices)
     return all(
-        any(_within(m, j, c, cover.radius, cover.query) for c in cover.center_indices)
+        j in centers
+        or any(_within(m, j, c, cover.radius, cover.query) for c in cover.center_indices)
         for j in range(len(g))
     )
 

@@ -225,6 +225,10 @@ class ExperimentReport:
             ["experiment", "n", "trial", "seed", "hypothesis_index", "er_exact",
              "er_float", "max_train_err", "extra"]
         )
+        # a report repeats few distinct masses over many rows: format each once,
+        # behind one Fraction hash per lookup
+        mass = cache(lambda q: (rational_to_str(q), format(float(q), f".{float_digits}g")))
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         for r in self.rows:
             writer.writerow([
                 r.experiment,
@@ -232,10 +236,9 @@ class ExperimentReport:
                 r.trial,
                 r.seed,
                 r.hypothesis_index,
-                rational_to_str(r.er_exact),
-                format(float(r.er_exact), f".{float_digits}g"),
-                "" if r.max_train_err is None else rational_to_str(r.max_train_err),
-                json.dumps(r.extra, sort_keys=True, separators=(",", ":")),
+                *mass(r.er_exact),
+                "" if r.max_train_err is None else mass(r.max_train_err)[0],
+                encode(r.extra),
             ])
         return buf.getvalue()
 

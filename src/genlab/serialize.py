@@ -101,12 +101,17 @@ def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
     return {"space": hc.space, "hypotheses": [list(h.labels) for h in hc.members]}
 
 
+def _hypothesis(row: Any) -> Hypothesis:
+    """A class-file row; a list of JSON integers passes one C-level type check,
+    anything else is read label by label so `_int` names the bad one."""
+    if type(row) is list and set(map(type, row)) == {int}:
+        return Hypothesis(tuple(row))
+    return Hypothesis(tuple(_int(v, "hypothesis label") for v in row))
+
+
 def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
     try:
-        members = tuple(
-            Hypothesis(tuple(_int(v, "hypothesis label") for v in row))
-            for row in obj["hypotheses"]
-        )
+        members = tuple(map(_hypothesis, obj["hypotheses"]))
         return HypothesisClass(_int(obj["space"], "class space"), members)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed hypothesis class object: {exc}") from exc

@@ -197,6 +197,32 @@ class TestDimensionCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "JSON integer" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[0].__setitem__(1, 2), "hypothesis labels must be 0 or 1"),
+        (lambda rows: rows[0].__setitem__(1, -1), "hypothesis labels must be 0 or 1"),
+        (lambda rows: rows[0].__setitem__(1, None),
+         "hypothesis label must be a JSON integer, got None"),
+        (lambda rows: rows[0].__setitem__(1, [0]),
+         "hypothesis label must be a JSON integer, got [0]"),
+        (lambda rows: rows.__setitem__(0, "0101"),
+         "hypothesis label must be a JSON integer, got '0'"),
+        (lambda rows: rows.__setitem__(0, {"0": 1}),
+         "hypothesis label must be a JSON integer, got '0'"),
+        (lambda rows: rows.__setitem__(0, []), "hypothesis needs at least one instance"),
+        (lambda rows: rows[0].pop(), "member 0 labels 9 instances, class space is 10"),
+    ], ids=["label-2", "label-minus-1", "label-null", "label-nested", "row-string",
+            "row-object", "row-empty", "row-short"])
+    def test_malformed_class_row_refused(self, built, capsys, edit, message):
+        cls = json.loads((built / "class.json").read_text())
+        assert cls["space"] == 10
+        edit(cls["hypotheses"])
+        (built / "bad_class.json").write_text(json.dumps(cls))
+        code, out, err = run(
+            capsys, "gdim", "--class", str(built / "bad_class.json"),
+            "--domains", str(built / "family.json"), "--tau", "3/10", "--alpha", "1/50",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_certificate_witness_list_refused(self, built, capsys):
         cert = json.loads((built / "certificate.json").read_text())
         cert["witnesses"] = list(cert["witnesses"].values())

@@ -175,6 +175,16 @@ class TestGreedyCover:
         with pytest.raises(ValueError):
             greedy_cover(fam, hc, F(-1, 10))
 
+    @pytest.mark.parametrize("radius", [F(-1, 10), F(-1, 10**9), -1])
+    def test_cover_refuses_negative_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            Cover((0, 1, 2), radius, DivergenceQuery(F(3, 10)))
+
+    def test_zero_radius_cover_accepted(self):
+        lkf = large_k_family(F(1, 50))
+        cover = Cover((0, 1, 2), F(0), DivergenceQuery(F(3, 10)))
+        assert cover_is_valid(cover, lkf.family, lkf.slice.hypothesis_class)
+
 
 class TestCoverBound:
     def test_singleton(self):

@@ -109,6 +109,11 @@ class TestDictRoundTrips:
         bad["centers"] = [0, -1]
         with pytest.raises(FormatError, match="non-negative"):
             cover_from_dict(bad)
+        for radius in ("-1/10", "-1", -1):
+            bad = cover_to_dict(Cover((0, 1, 2), F(1, 10), DivergenceQuery(F(3, 10))))
+            bad["radius"] = radius
+            with pytest.raises(FormatError, match="radius must be non-negative"):
+                cover_from_dict(bad)
 
     def test_training_set_and_error_table(self):
         rng = random.Random(41006)
