@@ -97,25 +97,27 @@ PINS = {
         "08cc908e1d501e174177ec6dd302d0bb2da5e0e67bdfcc7b25f6dc50772b4179"),
 }
 
-# Configs the runners refuse, and the error line each prints.
+# Configs the runners refuse, the seed, and the error line each prints: the
+# adversarial margin check reads the trial's bit vector, so its line depends
+# on the seed.
 REFUSED = {
     "gamma outside (0, 1/8)": (
         "scaling", {**ADVERSARIAL, "family_alpha": "1/50", "n_grid": [2, 4], "trials": 2},
-        "error: gamma at n=2 is 1/4, must lie in (0, 1/8)"),
+        71, "error: gamma at n=2 is 1/4, must lie in (0, 1/8)"),
     "adversarial margin": (
         "scaling", {**ADVERSARIAL, "family_alpha": "1/50", "tau": "1/20", "n_grid": [8],
                     "trials": 2},
-        "error: optimal threshold 49/180 exceeds tau - alpha - 2*epsilon = 1/25; "
+        81, "error: optimal threshold 49/180 exceeds tau - alpha - 2*epsilon = 1/25; "
         "the margin precondition fails"),
     "uniform-shattered margin": (
         "scaling", {"generator": "uniform-shattered", "family_alpha": "1/50",
                     "epsilon": "1/5", "n_grid": [8], "trials": 2},
-        "error: optimal threshold 49/180 exceeds tau - alpha - 2*epsilon = -11/100; "
+        91, "error: optimal threshold 49/180 exceeds tau - alpha - 2*epsilon = -11/100; "
         "the margin precondition fails"),
     "lower-bound margin": (
         "lower-bound", {"family_alpha": "1/100", "gamma": "1/50", "tau": "1/5", "n": 5,
                         "trials": 2},
-        "error: optimal threshold 97/340 exceeds tau - alpha - 2*epsilon = 19/100; "
+        94, "error: optimal threshold 97/340 exceeds tau - alpha - 2*epsilon = 19/100; "
         "the margin precondition fails"),
 }
 
@@ -144,8 +146,8 @@ def test_report_bytes_pinned(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("label", sorted(REFUSED))
 def test_refused_config_error_line(tmp_path, capsys, label):
-    name, config, line = REFUSED[label]
-    code, out = run_experiment(tmp_path, name, config, 7)
+    name, config, seed, line = REFUSED[label]
+    code, out = run_experiment(tmp_path, name, config, seed)
     assert code == 2
     assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
