@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     Atom,
@@ -252,7 +253,16 @@ class LowerBoundFamily:
     extended_family: DomainFamily
     tau: Fraction
     alpha: Fraction
-    certificate_valid: bool
+    hypothesis_class: HypothesisClass
+    certificate: ShatteringCertificate
+
+    @cached_property
+    def certificate_valid(self) -> bool:
+        """Whether the certificate shatters the base family at (tau, alpha)."""
+        return verify_certificate(
+            self.certificate, self.hypothesis_class, self.base_family,
+            DimensionQuery(self.tau, self.alpha),
+        )
 
     @property
     def d(self) -> int:
@@ -270,6 +280,14 @@ class LowerBoundFamily:
         lam = self.mix_weight
         return lam / (1 + lam)
 
+    def meta_weights(self, gamma: Fraction) -> tuple[Fraction, ...]:
+        """Weights of an adversarial meta: 1-4*gamma on the clean domain, then
+        4*gamma/d on each of the d domains the bit vector picks."""
+        gamma = Fraction(gamma)
+        if not (0 < gamma < Fraction(1, 8)):
+            raise ValueError(f"gamma must lie in (0, 1/8), got {gamma}")
+        return (1 - 4 * gamma,) + (4 * gamma / self.d,) * self.d
+
 
 def lower_bound_family(
     hc: HypothesisClass,
@@ -281,8 +299,8 @@ def lower_bound_family(
 ) -> LowerBoundFamily:
     """Extend g with the clean domain d0 and flipped mixtures of the certified
     domains. Requires 0 <= alpha < tau <= 1/2 and a d0 on which every
-    hypothesis has error exactly 0; certificate validity at (tau, alpha) is
-    re-checked and recorded, not enforced."""
+    hypothesis has error exactly 0. Certificate validity at (tau, alpha) is
+    recorded, not enforced: `certificate_valid` checks it on first read."""
     tau = Fraction(tau)
     alpha = Fraction(alpha)
     if not (0 <= alpha < tau <= Fraction(1, 2)):
@@ -300,9 +318,8 @@ def lower_bound_family(
         mix(d0, flip_labels(g.domains[j]), lam) for j in cert.domain_indices
     )
     extended = DomainFamily(g.space, g.domains + (d0,) + flipped)
-    valid = verify_certificate(cert, hc, g, DimensionQuery(tau, alpha))
     return LowerBoundFamily(
-        g, d0, cert.domain_indices, lam, flipped, extended, tau, alpha, valid
+        g, d0, cert.domain_indices, lam, flipped, extended, tau, alpha, hc, cert
     )
 
 
@@ -311,18 +328,15 @@ def adversarial_meta(
 ) -> MetaDistribution:
     """Meta-distribution hiding the bit vector b: weight 1-4*gamma on the clean
     domain and 4*gamma/d on D_i (b_i = 0) or its flipped mixture (b_i = 1)."""
-    gamma = Fraction(gamma)
     d = lbf.d
     if len(b) != d:
         raise ValueError(f"bit vector has length {len(b)}, family has d={d}")
     if any(bit not in (0, 1) for bit in b):
         raise ValueError("bit vector entries must be 0 or 1")
-    if not (0 < gamma < Fraction(1, 8)):
-        raise ValueError(f"gamma must lie in (0, 1/8), got {gamma}")
+    weights = lbf.meta_weights(gamma)
     chosen = tuple(
         lbf.flipped[t] if bit else lbf.base_family.domains[lbf.shattered_indices[t]]
         for t, bit in enumerate(b)
     )
     family = DomainFamily(lbf.base_family.space, (lbf.clean_domain,) + chosen)
-    weights = (1 - 4 * gamma,) + tuple(4 * gamma / d for _ in range(d))
     return MetaDistribution(family, weights)

@@ -28,16 +28,15 @@ from typing import Any, Callable, ClassVar, Sequence, TypeVar
 
 from .constructions import (
     BASE_RATE,
-    adversarial_meta,
+    LowerBoundFamily,
     large_k_family,
     lower_bound_family,
     unanimous_point_mass,
 )
 from .core import (
     ConfigError,
-    DomainFamily,
     ErrorMatrix,
-    MetaDistribution,
+    LabeledDistribution,
     ZERO,
     argmin_max,
 )
@@ -52,6 +51,7 @@ from .learner import (
     draw_domain_indices,
     inverse_cdf,
     sample_size_for,
+    uniform_weights,
 )
 from .seeding import derive_seed, derive_seeds, rng_for
 from .serialize import rational_from_str, rational_to_str
@@ -287,49 +287,54 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
 
-class _AdversarialContext:
-    """Flipped extension of a built family and the error matrix of its pool:
-    the clean domain, the d shattered domains, then their d flipped mixtures."""
+def _flipped_pool(
+    family_alpha: Fraction, tau: Fraction
+) -> tuple[LowerBoundFamily, tuple[LabeledDistribution, ...], ErrorMatrix]:
+    """Flipped extension of a built family, its pool of domains (the clean
+    domain, the d shattered domains, then their d flipped mixtures) and the
+    pool's error matrix."""
+    base = large_k_family(family_alpha)
+    hc = base.slice.hypothesis_class
+    lbf = lower_bound_family(
+        hc, base.family, unanimous_point_mass(hc), base.certificate(), tau, family_alpha
+    )
+    pool = (lbf.clean_domain,) + tuple(
+        base.family.domains[j] for j in lbf.shattered_indices
+    ) + lbf.flipped
+    return lbf, pool, ErrorMatrix(hc, pool)
 
-    def __init__(self, family_alpha: Fraction, tau: Fraction) -> None:
-        self.base = large_k_family(family_alpha)
-        self.hc = self.base.slice.hypothesis_class
-        clean = unanimous_point_mass(self.hc)
-        self.lbf = lower_bound_family(
-            self.hc, self.base.family, clean, self.base.certificate(), tau, family_alpha
-        )
-        self.pool = (clean,) + tuple(
-            self.base.family.domains[j] for j in self.lbf.shattered_indices
-        ) + self.lbf.flipped
-        self.matrix = ErrorMatrix(self.hc, self.pool)
-        self.d = self.lbf.d
 
-    def support_indices(self, bits: tuple[int, ...]) -> list[int]:
-        """Pool index of each domain of `adversarial_meta(bits)`, in its order:
-        the clean domain, then domain t or its flipped mixture as bit t says."""
-        return [0] + [1 + t + (self.d if bit else 0) for t, bit in enumerate(bits)]
+def _hidden_bits(
+    seed: int, tag: str, n: int, trial: int, d: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """A trial's hidden bit vector, and the pool column of each domain of its
+    meta in order: the clean domain, then domain t or its flipped mixture as
+    bit t says."""
+    rng = rng_for(seed, tag, n, trial, "b")
+    bits = tuple(rng.randrange(2) for _ in range(d))
+    return bits, [0] + [1 + t + (d if bit else 0) for t, bit in enumerate(bits)]
 
 
 def _learn(
     matrix: ErrorMatrix,
     picks: Sequence[Callable[[float], int]],
-    meta: MetaDistribution,
+    weights: Sequence[Fraction],
     columns: Sequence[int],
     n: int,
     train_seed: int,
     tau: Fraction,
     points: int | None,
 ) -> tuple[int, Fraction, Fraction, tuple[int, ...]]:
-    """Fit the min-max learner on n domain draws from meta.
+    """Fit the min-max learner on n domain draws from a meta.
 
-    columns[i] is the matrix column of meta's domain i. With `points` None the
-    learner sees the drawn domains' exact errors; otherwise its mistakes on
-    the points `sample_training_set` would draw, that many per draw, counted
-    per atom, with picks[c] the point sampler of column c. Returns the chosen
-    hypothesis, its largest exact error over the drawn domains, its domain
-    risk at tau, and the drawn meta indices.
+    The meta puts weights[i] on the domain of matrix column columns[i]. With
+    `points` None the learner sees the drawn domains' exact errors; otherwise
+    its mistakes on the points `sample_training_set` would draw, that many per
+    draw, counted per atom, with picks[c] the point sampler of column c.
+    Returns the chosen hypothesis, its largest exact error over the drawn
+    domains, its domain risk at tau, and the drawn meta indices.
     """
-    indices, _ = draw_domain_indices(meta, n, train_seed)
+    indices, _ = draw_domain_indices(weights, n, train_seed)
     if points is None:
         hat, max_train = matrix.minmax(columns[i] for i in indices)
     else:
@@ -340,14 +345,10 @@ def _learn(
         hat, _ = argmin_max(samples)
         max_train = max(matrix.error(hat, columns[i]) for i in set(indices))
     risk = sum(
-        (w for w, c in zip(meta.weights, columns) if matrix.error(hat, c) > tau),
+        (w for w, c in zip(weights, columns) if matrix.error(hat, c) > tau),
         start=ZERO,
     )
     return hat, max_train, risk, indices
-
-
-def _median_fraction(values: list[Fraction]) -> Fraction:
-    return Fraction(statistics.median(values))
 
 
 def _scaling_aggregates(
@@ -359,7 +360,7 @@ def _scaling_aggregates(
     medians = []
     for n in cfg.n_grid:
         ers = [r.er_exact for r in rows if r.n == n]
-        med = _median_fraction(ers)
+        med = Fraction(statistics.median(ers))
         mean = sum(ers, start=ZERO) / len(ers)
         medians.append(med)
         per_n.append({
@@ -390,22 +391,67 @@ def _scaling_aggregates(
 
 
 def run_scaling(cfg: ScalingConfig, threads: int = 1) -> ExperimentReport:
-    """Risk of the min-max learner as a function of the number of domain draws."""
+    """Risk of the min-max learner as a function of the number of domain draws.
+
+    The generator fixes the pool of domains, tau, the aggregate extras and,
+    per trial, the meta's weights, its pool columns and the row's extras.
+    """
     _check_threads(threads)
+    alpha = cfg.alpha if cfg.alpha is not None else cfg.family_alpha / 2
+    epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
     if cfg.generator == "adversarial-meta":
-        return _run_scaling_adversarial(cfg)
-    return _run_scaling_fixed(cfg)
+        lbf, pool, matrix = _flipped_pool(cfg.family_alpha, BASE_RATE)
+        tau = cfg.tau if cfg.tau is not None else lbf.threshold_floor() - cfg.tau_margin
+        # gamma falls as n grows, so a gamma out of range is out at the first n
+        gammas = {n: _scaling_gamma(cfg, n) for n in cfg.n_grid}
+        weights = {n: lbf.meta_weights(gamma) for n, gamma in gammas.items()}
 
+        def meta(n: int, trial: int) -> tuple[Sequence[Fraction], Sequence[int], dict[str, Any]]:
+            bits, columns = _hidden_bits(cfg.seed, "scaling", n, trial, lbf.d)
+            _check_margin(matrix.minmax(columns)[1], tau, alpha, epsilon)
+            return weights[n], columns, {
+                "b": "".join(map(str, bits)), "gamma": rational_to_str(gammas[n]),
+            }
 
-def _resolve_alpha(cfg: ScalingConfig) -> Fraction:
-    return cfg.alpha if cfg.alpha is not None else cfg.family_alpha / 2
+        extra = {
+            "lambda": rational_to_str(lbf.mix_weight),
+            "threshold_floor": rational_to_str(lbf.threshold_floor()),
+            "d": lbf.d,
+        }
+    else:
+        base = large_k_family(cfg.family_alpha)
+        hc = base.slice.hypothesis_class
+        tau = cfg.tau if cfg.tau is not None else BASE_RATE
+        if cfg.generator == "uniform-shattered":
+            pool = base.family.domains
+        else:  # point-mass
+            pool = (unanimous_point_mass(hc),)
+        matrix = ErrorMatrix(hc, pool)
+        fixed = (uniform_weights(len(pool)), range(len(pool)), {})
+        _, tau_star = matrix.minmax(fixed[1])
+        _check_margin(tau_star, tau, alpha, epsilon)
+        meta = lambda n, trial: fixed
+        extra = {"tau_star": rational_to_str(tau_star)}
+    picks = [] if cfg.epsilon is None else [
+        inverse_cdf([a.mass for a in d.atoms]) for d in pool
+    ]
 
+    def one(n: int, trial: int) -> TrialRow:
+        weights, columns, row_extra = meta(n, trial)
+        train_seed = derive_seed(cfg.seed, "scaling", n, trial, "train")
+        # empirical mode draws this many points per drawn domain
+        points = None if cfg.epsilon is None else sample_size_for(
+            cfg.epsilon, cfg.delta, n, matrix.rows
+        )
+        hat, max_train, er, _ = _learn(
+            matrix, picks, weights, columns, n, train_seed, tau, points
+        )
+        seed = derive_seed(cfg.seed, "scaling", n, trial)
+        return TrialRow("scaling", n, trial, seed, hat, er, max_train, row_extra)
 
-def _points_per_draw(cfg: ScalingConfig, n: int, class_size: int) -> int | None:
-    """Points per drawn domain in empirical mode; None in exact mode."""
-    if cfg.epsilon is None:
-        return None
-    return sample_size_for(cfg.epsilon, cfg.delta, n, class_size)
+    rows = [one(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
+    agg = _scaling_aggregates(cfg, rows, tau, alpha, extra)
+    return ExperimentReport("scaling", cfg.to_dict(), tuple(rows), agg)
 
 
 def _scaling_gamma(cfg: ScalingConfig, n: int) -> Fraction:
@@ -429,75 +475,6 @@ def _check_margin(
             f"optimal threshold {tau_star} exceeds tau - alpha - 2*epsilon = "
             f"{tau - alpha - 2 * epsilon}; the margin precondition fails"
         )
-
-
-def _run_scaling_adversarial(cfg: ScalingConfig) -> ExperimentReport:
-    adv = _AdversarialContext(cfg.family_alpha, BASE_RATE)
-    picks = [inverse_cdf([a.mass for a in d.atoms]) for d in adv.pool]
-    tau = cfg.tau if cfg.tau is not None else adv.lbf.threshold_floor() - cfg.tau_margin
-    alpha = _resolve_alpha(cfg)
-    epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
-
-    def one(n: int, trial: int) -> TrialRow:
-        seed = derive_seed(cfg.seed, "scaling", n, trial)
-        gamma = _scaling_gamma(cfg, n)
-        rng = rng_for(cfg.seed, "scaling", n, trial, "b")
-        bits = tuple(rng.randrange(2) for _ in range(adv.d))
-        columns = adv.support_indices(bits)
-        _check_margin(adv.matrix.minmax(columns)[1], tau, alpha, epsilon)
-        meta = adversarial_meta(adv.lbf, bits, gamma)
-        train_seed = derive_seed(cfg.seed, "scaling", n, trial, "train")
-        hat, max_train, er, _ = _learn(
-            adv.matrix, picks, meta, columns, n, train_seed, tau,
-            _points_per_draw(cfg, n, len(adv.hc)),
-        )
-        return TrialRow(
-            "scaling", n, trial, seed, hat, er, max_train,
-            {"b": "".join(map(str, bits)), "gamma": rational_to_str(gamma)},
-        )
-
-    rows = [one(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    extra = {
-        "lambda": rational_to_str(adv.lbf.mix_weight),
-        "threshold_floor": rational_to_str(adv.lbf.threshold_floor()),
-        "d": adv.d,
-    }
-    agg = _scaling_aggregates(cfg, rows, tau, alpha, extra)
-    return ExperimentReport("scaling", cfg.to_dict(), tuple(rows), agg)
-
-
-def _run_scaling_fixed(cfg: ScalingConfig) -> ExperimentReport:
-    base = large_k_family(cfg.family_alpha)
-    hc = base.slice.hypothesis_class
-    tau = cfg.tau if cfg.tau is not None else BASE_RATE
-    alpha = _resolve_alpha(cfg)
-    epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
-    if cfg.generator == "uniform-shattered":
-        family = base.family
-        weights = tuple(Fraction(1, len(family)) for _ in range(len(family)))
-    else:  # point-mass
-        family = DomainFamily(base.slice.space, (unanimous_point_mass(hc),))
-        weights = (Fraction(1),)
-    meta = MetaDistribution(family, weights)
-    matrix = ErrorMatrix(hc, family.domains)
-    picks = [inverse_cdf([a.mass for a in d.atoms]) for d in family.domains]
-    _, tau_star = matrix.minmax(meta.support())
-    _check_margin(tau_star, tau, alpha, epsilon)
-    columns = range(len(family))
-
-    def one(n: int, trial: int) -> TrialRow:
-        seed = derive_seed(cfg.seed, "scaling", n, trial)
-        train_seed = derive_seed(cfg.seed, "scaling", n, trial, "train")
-        hat, max_train, er, _ = _learn(
-            matrix, picks, meta, columns, n, train_seed, tau, _points_per_draw(cfg, n, len(hc))
-        )
-        return TrialRow("scaling", n, trial, seed, hat, er, max_train, {})
-
-    rows = [one(n, t) for n in cfg.n_grid for t in range(cfg.trials)]
-    agg = _scaling_aggregates(
-        cfg, rows, tau, alpha, {"tau_star": rational_to_str(tau_star)}
-    )
-    return ExperimentReport("scaling", cfg.to_dict(), tuple(rows), agg)
 
 
 def _masked_exposure(
@@ -524,19 +501,6 @@ def _masked_exposure(
     return draw, exposure
 
 
-def _exposure(
-    pcc: PartialConceptClass, weights: Sequence[Fraction]
-) -> Callable[[int, Any], tuple[Fraction, int, tuple[int, ...]]]:
-    """`exposure_trial` for a fixed class and weights, prepared once."""
-    draw, exposure = _masked_exposure(pcc, weights)
-
-    def trial(n: int, rng: Any) -> tuple[Fraction, int, tuple[int, ...]]:
-        points = tuple(draw(rng.random()) for _ in range(n))
-        return (*exposure(sum(1 << p for p in set(points))), points)
-
-    return trial
-
-
 def exposure_trial(
     pcc: PartialConceptClass,
     weights: Sequence[Fraction],
@@ -546,7 +510,9 @@ def exposure_trial(
     """Draw n universe points and find the largest exact 1-mass among concepts
     evaluating to 0 on every drawn point. Returns (mass, concept index or -1,
     drawn points); a violation at rate gamma means mass > gamma."""
-    return _exposure(pcc, weights)(n, rng)
+    draw, exposure = _masked_exposure(pcc, weights)
+    points = tuple(draw(rng.random()) for _ in range(n))
+    return (*exposure(sum(1 << p for p in set(points))), points)
 
 
 def run_uniform_convergence(
@@ -627,25 +593,22 @@ def run_lower_bound(cfg: LowerBoundConfig, threads: int = 1) -> ExperimentReport
     the learner's risk at tau' = lam/(1+lam) - margin exceeds gamma, plus the
     failure rate on unseen flipped-family indices."""
     _check_threads(threads)
-    adv = _AdversarialContext(cfg.family_alpha, cfg.tau)
-    tau_prime = adv.lbf.threshold_floor() - cfg.tau_margin
-    lam = adv.lbf.mix_weight
+    lbf, _, matrix = _flipped_pool(cfg.family_alpha, cfg.tau)
+    tau_prime = lbf.threshold_floor() - cfg.tau_margin
+    weights = lbf.meta_weights(cfg.gamma)
 
     def one(trial: int) -> TrialRow:
-        seed = derive_seed(cfg.seed, "lb", cfg.n, trial)
-        rng = rng_for(cfg.seed, "lb", cfg.n, trial, "b")
-        bits = tuple(rng.randrange(2) for _ in range(adv.d))
-        columns = adv.support_indices(bits)
-        _, tau_star = adv.matrix.minmax(columns)
-        _check_margin(tau_star, cfg.tau, adv.lbf.alpha, ZERO)
-        meta = adversarial_meta(adv.lbf, bits, cfg.gamma)
+        bits, columns = _hidden_bits(cfg.seed, "lb", cfg.n, trial, lbf.d)
+        _, tau_star = matrix.minmax(columns)
+        _check_margin(tau_star, cfg.tau, lbf.alpha, ZERO)
         train_seed = derive_seed(cfg.seed, "lb", cfg.n, trial, "train")
         hat, max_train, er, indices = _learn(
-            adv.matrix, (), meta, columns, cfg.n, train_seed, tau_prime, None
+            matrix, (), weights, columns, cfg.n, train_seed, tau_prime, None
         )
         seen = {i - 1 for i in indices if i >= 1}
-        unseen = [t for t in range(adv.d) if t not in seen]
-        failed = [t for t in unseen if adv.matrix.error(hat, columns[1 + t]) > tau_prime]
+        unseen = [t for t in range(lbf.d) if t not in seen]
+        failed = [t for t in unseen if matrix.error(hat, columns[1 + t]) > tau_prime]
+        seed = derive_seed(cfg.seed, "lb", cfg.n, trial)
         return TrialRow(
             "lower-bound", cfg.n, trial, seed, hat, er, max_train,
             {
@@ -662,9 +625,9 @@ def run_lower_bound(cfg: LowerBoundConfig, threads: int = 1) -> ExperimentReport
     unseen_total = sum(len(r.extra["unseen"]) for r in rows)
     unseen_failed = sum(len(r.extra["failed_unseen"]) for r in rows)
     agg = {
-        "d": adv.d,
+        "d": lbf.d,
         "gamma": rational_to_str(cfg.gamma),
-        "lambda": rational_to_str(lam),
+        "lambda": rational_to_str(lbf.mix_weight),
         "tau_prime": rational_to_str(tau_prime),
         "exceed_count": exceed,
         "exceed_freq": exceed / cfg.trials,

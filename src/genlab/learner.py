@@ -120,19 +120,20 @@ def draw_atoms(pick: Callable[[float], int], m: int, master_seed: int, draw: int
 
 
 def draw_domain_indices(
-    p: MetaDistribution, n: int, master_seed: int
+    weights: Sequence[Fraction], n: int, master_seed: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """n i.i.d. domain indices by inverse CDF, with the per-draw seeds used.
+    """n i.i.d. domain indices by inverse CDF over a meta's weights, with the
+    per-draw seeds used.
 
     Draw i is the first `random()` of `random.Random(derive_seed(master_seed,
     "domain", i))`. One generator is reseeded per draw through the C-level
     `seed` that `random.Random.seed` delegates an int to, so each draw sees
     the same Mersenne Twister state as a fresh generator. The sampler is
-    memoized by weights, so metas that differ only in their domains share it.
+    memoized by weights.
     """
     if n < 1:
         raise ValueError("need at least one domain draw")
-    pick = _domain_sampler(p.weights)
+    pick = _domain_sampler(tuple(weights))
     seeds = derive_seeds(master_seed, "domain", count=n)
     rng = random.Random()
     reseed, uniform = super(random.Random, rng).seed, rng.random
@@ -151,7 +152,7 @@ def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> Train
     """
     if m < 1:
         raise ValueError("need at least one point per sampled domain")
-    indices, seeds = draw_domain_indices(p, n, seed)
+    indices, seeds = draw_domain_indices(p.weights, n, seed)
     domains = p.family.domains
     picks = {j: inverse_cdf([a.mass for a in domains[j].atoms]) for j in set(indices)}
     samples = tuple(

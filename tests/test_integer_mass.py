@@ -24,7 +24,6 @@ from genlab import (
     verify_certificate,
 )
 from genlab import core, dimensions
-from genlab.experiments import _exposure
 from genlab.learner import draw_domain_indices, inverse_cdf
 from genlab.seeding import derive_seed, derive_seeds
 
@@ -155,7 +154,7 @@ class TestDomainDraws:
         for master in MASTERS:
             for n in (1, 2, 37, 500):
                 for p in rng.sample(metas, 3):
-                    assert draw_domain_indices(p, n, master) == frozen_draw_domain_indices(
+                    assert draw_domain_indices(p.weights, n, master) == frozen_draw_domain_indices(
                         p, n, master
                     )
 
@@ -169,7 +168,7 @@ class TestDomainDraws:
                  for d in (domains[:3], domains[3:6], domains[:3])]
         other = MetaDistribution(metas[0].family, tuple(reversed(weights)))
         for p in metas + [other] + metas:
-            assert draw_domain_indices(p, 200, 11) == frozen_draw_domain_indices(p, 200, 11)
+            assert draw_domain_indices(p.weights, 200, 11) == frozen_draw_domain_indices(p, 200, 11)
 
 
 class TestPreparedExposure:
@@ -179,17 +178,15 @@ class TestPreparedExposure:
             universe = rng.randint(1, 9)
             pcc = random_partial_class(rng, universe, rng.randint(1, 30), rng.random() * 0.5)
             weights = random_weights(rng, universe)
-            prepared = _exposure(pcc, weights)
             for trial in range(5):
                 n, seed = rng.randint(1, 40), rng.randint(0, 10**9)
                 expected = frozen_exposure_trial(pcc, weights, n, random.Random(seed))
-                assert prepared(n, random.Random(seed)) == expected
                 assert exposure_trial(pcc, weights, n, random.Random(seed)) == expected
 
     def test_refusals_kept(self):
         pcc = PartialConceptClass(2, ((0, 1), (1, None)))
         with pytest.raises(ValueError, match="universe"):
-            _exposure(pcc, (F(1),))
+            exposure_trial(pcc, (F(1),), 3, random.Random(0))
         with pytest.raises(ValueError, match="sum to 1"):
             exposure_trial(pcc, (F(1, 2), F(1, 3)), 3, random.Random(0))
 

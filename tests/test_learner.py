@@ -64,7 +64,7 @@ class TestDomainDraws:
         rng = random.Random(55001)
         fam = random_family(rng, 4, 4)
         p = MetaDistribution(fam, uniform_weights(4))
-        indices, seeds = draw_domain_indices(p, 10000, 55002)
+        indices, seeds = draw_domain_indices(p.weights, 10000, 55002)
         assert len(indices) == len(seeds) == 10000
         for j in range(4):
             freq = indices.count(j) / 10000
@@ -75,7 +75,7 @@ class TestDomainDraws:
         rng = random.Random(55003)
         fam = random_family(rng, 4, 3)
         p = MetaDistribution(fam, (F(1, 2), F(1, 3), F(1, 6)))
-        indices, _ = draw_domain_indices(p, 10000, 55004)
+        indices, _ = draw_domain_indices(p.weights, 10000, 55004)
         for j, w in enumerate(p.weights):
             assert abs(indices.count(j) / 10000 - float(w)) < 0.02
 
@@ -83,20 +83,20 @@ class TestDomainDraws:
         rng = random.Random(55005)
         fam = random_family(rng, 4, 3)
         p = MetaDistribution(fam, (F(1, 2), F(0), F(1, 2)))
-        indices, _ = draw_domain_indices(p, 2000, 55006)
+        indices, _ = draw_domain_indices(p.weights, 2000, 55006)
         assert 1 not in indices
 
     def test_replay_is_exact(self):
         rng = random.Random(55007)
         p = random_meta(rng, random_family(rng, 4, 3))
-        assert draw_domain_indices(p, 50, 9) == draw_domain_indices(p, 50, 9)
-        assert draw_domain_indices(p, 50, 9) != draw_domain_indices(p, 50, 10)
+        assert draw_domain_indices(p.weights, 50, 9) == draw_domain_indices(p.weights, 50, 9)
+        assert draw_domain_indices(p.weights, 50, 9) != draw_domain_indices(p.weights, 50, 10)
 
     def test_rejects_empty_draw(self):
         rng = random.Random(55008)
         p = random_meta(rng, random_family(rng, 3, 2))
         with pytest.raises(ValueError):
-            draw_domain_indices(p, 0, 1)
+            draw_domain_indices(p.weights, 0, 1)
 
 
 class TestSampling:

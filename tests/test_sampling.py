@@ -63,7 +63,7 @@ def frozen_inverse_cdf(weights):
 
 def frozen_sample_training_set(p, n, m, seed):
     """sample_training_set as it was, one sampler build per drawn domain."""
-    indices, seeds = draw_domain_indices(p, n, seed)
+    indices, seeds = draw_domain_indices(p.weights, n, seed)
     samples = []
     for i, j in enumerate(indices):
         atoms = p.family.domains[j].atoms
@@ -197,7 +197,7 @@ class TestSampledLearner:
             n, m, seed = rng.randint(1, 16), rng.randint(1, 60), rng.randint(0, 10**9)
             tau = F(rng.randint(0, 10), 10)
 
-            hat, max_train, risk, indices = _learn(matrix, picks, meta, columns, n, seed, tau, m)
+            hat, max_train, risk, indices = _learn(matrix, picks, meta.weights, columns, n, seed, tau, m)
 
             t = sample_training_set(meta, n, m, seed)
             table = estimate_errors(hc, t)
