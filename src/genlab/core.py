@@ -197,8 +197,10 @@ class LabeledSample:
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        points = tuple((int(x), int(y)) for (x, y) in self.points)
+        points = tuple((x, y) for (x, y) in self.points)
         for x, y in points:
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"sample points must be integer pairs, got {(x, y)!r}")
             if x < 0:
                 raise ValueError("sample instances must be non-negative")
             if y not in (0, 1):

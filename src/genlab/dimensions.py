@@ -90,8 +90,11 @@ class ShatteringCertificate:
     witnesses: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.domain_indices)
-        wit = tuple(int(w) for w in self.witnesses)
+        idx = tuple(self.domain_indices)
+        wit = tuple(self.witnesses)
+        for v in idx + wit:
+            if type(v) is not int:
+                raise CertificateError(f"certificate entries must be integers, got {v!r}")
         if len(set(idx)) != len(idx):
             raise CertificateError("certificate domain indices must be distinct")
         if len(wit) != (1 << len(idx)):

@@ -133,6 +133,18 @@ class TestEmpiricalError:
         with pytest.raises(ValueError):
             empirical_error(Hypothesis((0,)), LabeledSample(()))
 
+    @pytest.mark.parametrize("points", [
+        ((1.5, True), ("2", 0)),
+        ((1.5, 0),),
+        (("2", 0),),
+        ((0, True),),
+        ((0, 1.0),),
+    ])
+    def test_non_integer_points_refused(self, points):
+        # no point is coerced: (1.5, True) would become (1, 1)
+        with pytest.raises(ValueError, match="integer pairs"):
+            LabeledSample(points)
+
 
 class TestFlipAndMix:
     def test_flip_involution(self):

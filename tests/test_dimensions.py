@@ -287,6 +287,19 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             ShatteringCertificate((0, 1), (0, 0, 0))
 
+    @pytest.mark.parametrize("indices, witnesses", [
+        ((0.9,), (1.7, True)),
+        ((0.9,), (1, 0)),
+        ((True,), (1, 0)),
+        ((0,), (1.7, 0)),
+        ((0,), (1, True)),
+        ((0,), ("1", 0)),
+    ])
+    def test_non_integer_entries_refused(self, indices, witnesses):
+        # no entry is coerced: 0.9 would become 0 and True would become 1
+        with pytest.raises(CertificateError, match="integers"):
+            ShatteringCertificate(indices, witnesses)
+
     def test_out_of_range_indices_raise_on_verify(self):
         lkf = large_k_family(F(1, 50))
         hc = lkf.slice.hypothesis_class
