@@ -404,12 +404,12 @@ def run_scaling(cfg: ScalingConfig, threads: int = 1) -> ExperimentReport:
         tau = cfg.tau if cfg.tau is not None else lbf.threshold_floor() - cfg.tau_margin
         # gamma falls as n grows, so a gamma out of range is out at the first n
         gammas = {n: _scaling_gamma(cfg, n) for n in cfg.n_grid}
-        weights = {n: lbf.meta_weights(gamma) for n, gamma in gammas.items()}
+        weights_at = {n: lbf.meta_weights(gamma) for n, gamma in gammas.items()}
 
         def meta(n: int, trial: int) -> tuple[Sequence[Fraction], Sequence[int], dict[str, Any]]:
             bits, columns = _hidden_bits(cfg.seed, "scaling", n, trial, lbf.d)
             _check_margin(matrix.minmax(columns)[1], tau, alpha, epsilon)
-            return weights[n], columns, {
+            return weights_at[n], columns, {
                 "b": "".join(map(str, bits)), "gamma": rational_to_str(gammas[n]),
             }
 
@@ -427,10 +427,11 @@ def run_scaling(cfg: ScalingConfig, threads: int = 1) -> ExperimentReport:
         else:  # point-mass
             pool = (unanimous_point_mass(hc),)
         matrix = ErrorMatrix(hc, pool)
-        fixed = (uniform_weights(len(pool)), range(len(pool)), {})
-        _, tau_star = matrix.minmax(fixed[1])
+        columns = range(len(pool))
+        _, tau_star = matrix.minmax(columns)
         _check_margin(tau_star, tau, alpha, epsilon)
-        meta = lambda n, trial: fixed
+        uniform = uniform_weights(len(pool))
+        meta = lambda n, trial: (uniform, columns, {})
         extra = {"tau_star": rational_to_str(tau_star)}
     picks = [] if cfg.epsilon is None else [
         inverse_cdf([a.mass for a in d.atoms]) for d in pool
