@@ -50,8 +50,7 @@ class ThresholdSlice:
             raise ValueError("threshold slice needs cutoff >= 1")
         space = cutoff + 2
         members = tuple(
-            Hypothesis(tuple(1 if x >= i else 0 for x in range(space)))
-            for i in range(1, cutoff + 1)
+            Hypothesis((0,) * i + (1,) * (space - i)) for i in range(1, cutoff + 1)
         )
         return cls(cutoff, HypothesisClass(space, members))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter, sub
@@ -17,7 +18,6 @@ from typing import Iterable, NamedTuple, Sequence
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class GenlabError(Exception):
@@ -91,6 +91,12 @@ class HypothesisClass:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Each member's labels as one int whose byte x holds the label of
+        point x."""
+        return tuple(int.from_bytes(bytes(h.labels), "little") for h in self.members)
+
 
 class Atom(NamedTuple):
     """Point mass: instance x carries label y with probability `mass`."""
@@ -104,10 +110,10 @@ class Atom(NamedTuple):
 class LabeledDistribution:
     """A finite distribution over labeled instances (a "domain").
 
-    Atoms are canonicalized: sorted by (x, y), strictly positive masses, masses
-    sum to exactly 1. Equality is therefore canonical equality. `weighted`
-    holds each atom as (x, y, mass numerator over `denominator`), the LCM of
-    the atoms' mass denominators.
+    Atoms are canonicalized: integer points and labels sorted by (x, y),
+    strictly positive masses, masses sum to exactly 1. Equality is therefore
+    canonical equality. `weighted` holds each atom as (x, y, mass numerator
+    over `denominator`), the LCM of the atoms' mass denominators.
     """
 
     space: int
@@ -117,7 +123,12 @@ class LabeledDistribution:
 
     def __post_init__(self) -> None:
         _check_space(self.space)
-        atoms = tuple(sorted(Atom(x, y, Fraction(m)) for (x, y, m) in self.atoms))
+        atoms = []
+        for x, y, m in self.atoms:
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"atom instance and label must be integers, got {(x, y)!r}")
+            atoms.append(Atom(x, y, m if type(m) is Fraction else Fraction(m)))
+        atoms = tuple(sorted(atoms))
         if not atoms:
             raise ValueError("distribution needs at least one atom")
         seen: set[tuple[int, int]] = set()
@@ -126,7 +137,7 @@ class LabeledDistribution:
                 raise ValueError(f"atom instance {a.x} outside space of size {self.space}")
             if a.y not in (0, 1):
                 raise ValueError(f"atom label must be 0 or 1, got {a.y}")
-            if a.mass <= 0:
+            if a.mass.numerator <= 0:
                 raise ValueError(f"atom mass must be positive, got {a.mass}")
             if (a.x, a.y) in seen:
                 raise ValueError(f"duplicate atom for (x={a.x}, y={a.y})")
@@ -220,21 +231,28 @@ def domain_error(h: Hypothesis, d: LabeledDistribution) -> Fraction:
     return Fraction(sum(w for x, y, w in d.weighted if labels[x] != y), d.denominator)
 
 
-def error_column(
-    labelings: Sequence[Sequence[int]], weighted: Iterable[tuple[int, int, int]]
-) -> tuple[int, ...]:
-    """Total weight each labeling gets wrong over (x, y, weight) triples.
-
-    A labeling's error is `base`, the weight of the label-1 triples, plus the
-    gain of each point it labels 1. So it depends only on the labeling's
-    restriction to the points, and is summed once per distinct restriction."""
+def _gains(weighted: Iterable[tuple[int, int, int]]) -> tuple[int, dict[int, int]]:
+    """(base, gain) of (x, y, weight) triples: the weight of the label-1
+    triples, and per point x the error added by labeling x 1 instead of 0. A
+    labeling's error is base plus the gain of each point it labels 1."""
     base = 0
-    gain: dict[int, int] = {}  # gain[x]: error added by labeling x 1 instead of 0
+    gain: dict[int, int] = {}
     for x, y, w in weighted:
         if y:
             base += w
             w = -w
         gain[x] = gain.get(x, 0) + w
+    return base, gain
+
+
+def error_column(
+    labelings: Sequence[Sequence[int]], weighted: Iterable[tuple[int, int, int]]
+) -> tuple[int, ...]:
+    """Total weight each labeling gets wrong over (x, y, weight) triples.
+
+    A labeling's error depends only on its restriction to the points, so it
+    is summed once per distinct restriction tuple."""
+    base, gain = _gains(weighted)
     if not gain:
         return (0,) * len(labelings)
     # one point repeated with gain 0 keeps a single point's restriction a tuple
@@ -246,6 +264,35 @@ def error_column(
         e = error.get(r)
         if e is None:
             e = error[r] = sum(compress(gains, r), base)
+        column.append(e)
+    return tuple(column)
+
+
+def popcount_column(
+    masks: Sequence[int], weighted: Iterable[tuple[int, int, int]]
+) -> tuple[int, ...]:
+    """`error_column` over labelings given as `HypothesisClass.masks`.
+
+    The points are grouped into one bit mask per distinct nonzero gain, so a
+    labeling's error is base plus each gain times a popcount, summed once per
+    distinct restriction `mask & support`. Faster than `error_column` on wide
+    supports with few distinct gains (domain columns); slower on samples,
+    where nearly every count is its own gain."""
+    base, gain = _gains(weighted)
+    groups: dict[int, int] = {}  # gain: bit 8x set for each point x with that gain
+    support = 0
+    for x, g in gain.items():
+        if g:
+            groups[g] = groups.get(g, 0) | 1 << 8 * x
+            support |= 1 << 8 * x
+    terms = tuple(groups.items())
+    error: dict[int, int] = {}  # distinct restriction: its error
+    column = []
+    for mask in masks:
+        r = mask & support
+        e = error.get(r)
+        if e is None:
+            e = error[r] = base + sum(g * (r & group).bit_count() for g, group in terms)
         column.append(e)
     return tuple(column)
 
@@ -271,7 +318,8 @@ class ErrorMatrix:
     the errors on domain j as integer numerators over one common
     `denominator`, the LCM of all atom-mass denominators, so comparisons,
     maxima and gaps run on ints and `Fraction`s appear only in return values.
-    Row i is hypothesis i.
+    Row i is hypothesis i. Domain columns come from `popcount_column`; sample
+    columns (`mistakes`) from `error_column`.
     """
 
     def __init__(self, hc: HypothesisClass, domains: Sequence[LabeledDistribution]) -> None:
@@ -282,18 +330,18 @@ class ErrorMatrix:
                     f"domain {j} has space {d.space}, class space is {hc.space}"
                 )
         den = math.lcm(*(d.denominator for d in domains))
-        labelings = [h.labels for h in hc.members]
+        masks = hc.masks
         columns = []
         for j, d in enumerate(domains):
             scale = den // d.denominator
-            column = error_column(labelings, ((x, y, w * scale) for x, y, w in d.weighted))
+            column = popcount_column(masks, ((x, y, w * scale) for x, y, w in d.weighted))
             if min(column) < 0 or max(column) > den:
                 raise ValueError(f"domain {j} yields an error outside [0, 1]")
             columns.append(column)
-        self.rows = len(labelings)
+        self.rows = len(masks)
         self.denominator = den
         self.columns: tuple[tuple[int, ...], ...] = tuple(columns)
-        self._labelings = labelings
+        self._labelings = [h.labels for h in hc.members]
         self._atoms = [d.atoms for d in domains]
 
     def error(self, i: int, j: int) -> Fraction:
@@ -346,14 +394,16 @@ def mix(d0: LabeledDistribution, d1: LabeledDistribution, lam: Fraction) -> Labe
     lam = Fraction(lam)
     if not (0 <= lam <= 1):
         raise ValueError(f"mixture weight must lie in [0, 1], got {lam}")
-    acc: dict[tuple[int, int], Fraction] = {}
-    for scale, d in ((ONE - lam, d0), (lam, d1)):
-        if scale == 0:
-            continue
-        for a in d.atoms:
-            key = (a.x, a.y)
-            acc[key] = acc.get(key, ZERO) + scale * a.mass
-    atoms = tuple(Atom(x, y, m) for (x, y), m in acc.items() if m > 0)
+    # masses as integer numerators over q * den, with lam = p/q
+    p, q = lam.numerator, lam.denominator
+    den = math.lcm(d0.denominator, d1.denominator)
+    acc: dict[tuple[int, int], int] = {}
+    for scale, d in (((q - p) * (den // d0.denominator), d0), (p * (den // d1.denominator), d1)):
+        if scale:
+            for x, y, w in d.weighted:
+                acc[x, y] = acc.get((x, y), 0) + scale * w
+    total = q * den
+    atoms = tuple(Atom(x, y, Fraction(m, total)) for (x, y), m in acc.items())
     return LabeledDistribution(d0.space, atoms)
 
 

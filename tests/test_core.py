@@ -29,6 +29,17 @@ def complement(h: Hypothesis) -> Hypothesis:
     return Hypothesis(tuple(1 - v for v in h.labels))
 
 
+def frozen_mix(d0, d1, lam):
+    """`mix` as it was before it summed integer numerators."""
+    acc = {}
+    for scale, d in ((1 - lam, d0), (lam, d1)):
+        if scale == 0:
+            continue
+        for a in d.atoms:
+            acc[a.x, a.y] = acc.get((a.x, a.y), F(0)) + scale * a.mass
+    return LabeledDistribution(d0.space, tuple(Atom(x, y, m) for (x, y), m in acc.items() if m > 0))
+
+
 class TestStructures:
     def test_hypothesis_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -65,6 +76,12 @@ class TestStructures:
             LabeledDistribution(1, (Atom(1, 0, F(1)),))  # point outside space
         with pytest.raises(ValueError):
             LabeledDistribution(2, (Atom(0, 0, F(3, 2)), Atom(1, 0, F(-1, 2))))
+        for atoms in (((0.5, 0, F(1, 2)), (1, True, F(1, 2))),
+                      ((0.0, 0, F(1, 2)), (1, 0, F(1, 2))),
+                      ((0, 1, F(1, 2)), (1, True, F(1, 2))),
+                      ((False, 0, F(1)),), ((0, 1.0, F(1)),)):
+            with pytest.raises(ValueError, match="must be integers"):
+                LabeledDistribution(2, atoms)
 
     def test_meta_validation(self):
         fam = DomainFamily(2, (LabeledDistribution(2, (Atom(0, 0, F(1)),)),))
@@ -183,6 +200,11 @@ class TestFlipAndMix:
             assert domain_error(h, mix(d0, d1, lam)) == (1 - lam) * domain_error(
                 h, d0
             ) + lam * domain_error(h, d1)
+            for weight in (F(0), F(1), F(1, 3), lam, F(rng.randint(0, 97), 97)):
+                mixed = mix(d0, d1, weight)
+                want = frozen_mix(d0, d1, weight)
+                assert mixed == want
+                assert (mixed.denominator, mixed.weighted) == (want.denominator, want.weighted)
 
     def test_mix_rejects_bad_weight(self):
         d = LabeledDistribution(1, (Atom(0, 0, F(1)),))

@@ -2,7 +2,9 @@
 seed: every scaling generator in exact and empirical mode, a fixed and a
 per-n gamma, and two lower-bound sizes. The trials-exact and trials-sampled
 configs are the benchmark's, and their default-seed digests equal the ones in
-perfbench/pins.json. Refused configs must print the same error line."""
+perfbench/pins.json. Refused configs must print the same error line. Every
+file `construct` writes for the large-k, lower-bound, product and adversarial
+constructions is pinned too."""
 import hashlib
 import json
 
@@ -151,3 +153,72 @@ def test_refused_config_error_line(tmp_path, capsys, label):
     assert code == 2
     assert capsys.readouterr().err == line + "\n"
     assert not out.exists()
+
+
+# sha256 of every file each `construct` command writes, computed with the
+# Fraction-built mixtures and generator-built threshold slices.
+CONSTRUCT_PINS = {
+    "large-k 1/50": (
+        ("large-k", "--alpha", "1/50"),
+        {
+            "certificate.json": "0cbb0219501c17cc73fded2a33e57327273acc71f2fbff55ef49411591c09741",
+            "class.json": "a8722d294a68f6dfb71112e2d539a2c5b94b65f5b5848b0439aaca22c6d4be1c",
+            "domain_1.json": "b8aa3dbbb244864a8c9fe4e01de4fa625da28c6a08d5177359e63745d1705bb5",
+            "domain_2.json": "b2952f3e2158760407892cd8bd21edf8748598584ec64012f27af194ca809583",
+            "domain_3.json": "9f73fe78d2c4326d014e7b52d6e5abda25ea76a6e310f63100b567af9165ad42",
+            "family.json": "4c2abf6790a956e7adabb3e5e35cab62b766fd5acbdda6c9b028f40b7a7630c6",
+        }),
+    "large-k 1/2000": (
+        ("large-k", "--alpha", "1/2000"),
+        {
+            "certificate.json": "27a47666f898c91a826f1ed36c7657423ef46c1f1a82e5a565911afb69cadcb0",
+            "class.json": "0acfb509c40b8b3d10554c6bb105ab399039c4e6449c9f703de63a7f22717254",
+            "domain_1.json": "1d6650106cb02e56ac816f049273e1607f8749c2a8fc8b434f549ab697ba7938",
+            "domain_2.json": "a6cc217c58df3ba74a7e9b91d62dc7b53c94afda18239ee0f1065ff406adc827",
+            "domain_3.json": "5b76b12dc6ba259239912415b852656d1fd0f02b5d5ef61e756e9692b12ae19c",
+            "domain_4.json": "24c77e735d0002708ece5fed2247910ff700276bd8db7588a736b255efa604dd",
+            "domain_5.json": "45b3a9509bcaf8d68d6c5a0fd77a02f51fd71384f1a9fcdd377988f2d810d754",
+            "domain_6.json": "46f82e4128b429af8d67421d11c7a6dcda66bd3f00f01759f146567926acf039",
+            "domain_7.json": "cd246b78538991a8f09ea19a46acfc199a144ccbb62d40ab18beadc8cf5da2bb",
+            "domain_8.json": "322d9a3d1bfcaf7004c1da0e127792bf9815afa71f792084c5c7e9fd3cd208d6",
+            "family.json": "8bb1e5705aee8e4016710c658b31bfad256a441e4f19536da32685c6d479e7ab",
+        }),
+    "lower-bound 1/50": (
+        ("lower-bound", "--alpha", "1/50"),
+        {
+            "certificate.json": "0cbb0219501c17cc73fded2a33e57327273acc71f2fbff55ef49411591c09741",
+            "class.json": "a8722d294a68f6dfb71112e2d539a2c5b94b65f5b5848b0439aaca22c6d4be1c",
+            "family.json": "07068d92e852af6dcd656f78c677dca75e085cfb521656f90281a971f42ee517",
+        }),
+    "lower-bound 1/2000": (
+        ("lower-bound", "--alpha", "1/2000"),
+        {
+            "certificate.json": "27a47666f898c91a826f1ed36c7657423ef46c1f1a82e5a565911afb69cadcb0",
+            "class.json": "0acfb509c40b8b3d10554c6bb105ab399039c4e6449c9f703de63a7f22717254",
+            "family.json": "0bc0f955eecd42aa0f85d3e8f131fcc97f17007ac2c9dd3fcb8ef33e8066880b",
+        }),
+    "product 1/50 d3": (
+        ("product", "--alpha", "1/50", "--d", "3"),
+        {
+            "class.json": "72f0b9179bce587cff457855cc436b7832801770ce775e97651b3934ac225975",
+            "family.json": "333d7a0e0fe3fa7e917563521c06775ab4a9eb8afa0ba986cdc6d512c31c74d2",
+        }),
+    "adversarial 1/50": (
+        ("adversarial", "--alpha", "1/50", "--gamma", "1/20", "--b", "101"),
+        {
+            "class.json": "a8722d294a68f6dfb71112e2d539a2c5b94b65f5b5848b0439aaca22c6d4be1c",
+            "meta.json": "c174b78e430af95ea05fc00559a08ca0a72e7f9fddff1e0d0f9e138e9e836beb",
+        }),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CONSTRUCT_PINS))
+def test_construct_bytes_pinned(tmp_path, capsys, label):
+    argv, pins = CONSTRUCT_PINS[label]
+    code = main(["construct", *argv, "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == pins

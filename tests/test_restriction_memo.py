@@ -1,6 +1,7 @@
 """Exact errors computed once per distinct restriction, checked against frozen
-copies of the per-hypothesis code they replaced: `error_column` and the
-`ErrorMatrix` columns, thresholded divergence, `verify_certificate`,
+copies of the per-hypothesis code they replaced: `error_column`,
+`popcount_column` and the `ErrorMatrix` columns (flipped lower-bound pools
+included), thresholded divergence, `verify_certificate`,
 `cover_is_valid` and the class-file loader. Instances are seeded and include
 the shattered product family (restrictions repeat heavily) and the
 thresholds of `large_k_family(1/2000)` (all restrictions distinct)."""
@@ -31,7 +32,9 @@ from genlab import (
     verify_certificate,
 )
 from genlab import core, dimensions
-from genlab.core import ErrorMatrix, error_column
+from genlab.constructions import BASE_RATE
+from genlab.core import ErrorMatrix, error_column, popcount_column
+from genlab.experiments import _flipped_pool
 from genlab.serialize import hypothesis_class_from_dict
 
 from _builders import random_class, random_family
@@ -143,9 +146,9 @@ class TestErrorColumn:
         assert (m.denominator, m.columns) == frozen_columns(hc, domains)
         labelings = [h.labels for h in hc.members]
         for d in domains:
-            assert error_column(labelings, d.weighted) == frozen_error_column(
-                labelings, d.weighted
-            )
+            want = frozen_error_column(labelings, d.weighted)
+            assert error_column(labelings, d.weighted) == want
+            assert popcount_column(hc.masks, d.weighted) == want
 
     def test_product_family_repeats_restrictions(self, product):
         hc, g = product
@@ -158,6 +161,9 @@ class TestErrorColumn:
         assert len(widest.support()) >= 258
         assert len(restrictions(hc, widest)) == len(hc)
         self.check(hc, g.domains)
+        for family_alpha in (F(1, 100), F(1, 500), F(1, 2000)):
+            lbf, pool, m = _flipped_pool(family_alpha, BASE_RATE)
+            assert (m.denominator, m.columns) == frozen_columns(lbf.hypothesis_class, pool)
 
     def test_seeded_random_classes_lists_and_tuples(self):
         for rng, hc, g in random_instances(90211, 60):
@@ -170,6 +176,8 @@ class TestErrorColumn:
             assert error_column(as_tuples, triples) == want
             assert error_column(as_lists, triples) == want
             assert error_column(as_lists, iter(triples)) == want
+            assert popcount_column(hc.masks, triples) == want
+            assert popcount_column(hc.masks, iter(triples)) == want
 
     def test_single_point_support(self):
         hc = HypothesisClass(3, (Hypothesis((0, 0, 1)), Hypothesis((1, 0, 0)),
@@ -184,6 +192,8 @@ class TestErrorColumn:
         assert error_column([(0, 1), (1, 1), [1, 0]], []) == (0, 0, 0)
         assert error_column([(0, 1)], iter(())) == (0,)
         assert error_column([], []) == ()
+        assert popcount_column([0b1, 0b100000001], []) == (0, 0)
+        assert popcount_column([], [(0, 1, 3)]) == ()
 
     def test_mistakes_match_frozen_counts(self):
         for rng, hc, g in random_instances(90212, 30):
@@ -209,6 +219,11 @@ class TestOncePerRestriction:
         for d in g.domains:
             sums.clear()
             error_column(labelings, d.weighted)
+            assert len(sums) == len(restrictions(hc, d))
+        monkeypatch.setattr(core, "sum", lambda *a: sums.append(a) or sum(*a), raising=False)
+        for d in g.domains:
+            sums.clear()
+            popcount_column(hc.masks, d.weighted)
             assert len(sums) == len(restrictions(hc, d))
 
     def test_verify_calls_domain_error_once_per_distinct_restriction(self, product, monkeypatch):
