@@ -146,9 +146,12 @@ class TestErrorColumn:
         assert (m.denominator, m.columns) == frozen_columns(hc, domains)
         labelings = [h.labels for h in hc.members]
         for d in domains:
-            want = frozen_error_column(labelings, d.weighted)
-            assert error_column(labelings, d.weighted) == want
-            assert popcount_column(hc.masks, d.weighted) == want
+            assert error_column(labelings, d.weighted) == frozen_error_column(
+                labelings, d.weighted
+            )
+            assert popcount_column(hc.masks, d.weighted) == frozen_error_column(
+                labelings, d.weighted
+            )
 
     def test_product_family_repeats_restrictions(self, product):
         hc, g = product
