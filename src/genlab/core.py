@@ -11,8 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter, sub
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
@@ -67,6 +66,13 @@ class Hypothesis:
         return self.labels[x]
 
 
+def _label_bytes(labels: tuple[int, ...]) -> bytes:
+    try:
+        return bytes(labels)
+    except TypeError:  # labels equal to 0 or 1 but not ints, such as 1.0
+        return bytes(map(int, labels))
+
+
 @dataclass(frozen=True)
 class HypothesisClass:
     """An ordered, duplicate-free collection of hypotheses on one space."""
@@ -95,7 +101,7 @@ class HypothesisClass:
     def masks(self) -> tuple[int, ...]:
         """Each member's labels as one int whose byte x holds the label of
         point x."""
-        return tuple(int.from_bytes(bytes(h.labels), "little") for h in self.members)
+        return tuple(int.from_bytes(_label_bytes(h.labels), "little") for h in self.members)
 
 
 class Atom(NamedTuple):
@@ -231,10 +237,17 @@ def domain_error(h: Hypothesis, d: LabeledDistribution) -> Fraction:
     return Fraction(sum(w for x, y, w in d.weighted if labels[x] != y), d.denominator)
 
 
-def _gains(weighted: Iterable[tuple[int, int, int]]) -> tuple[int, dict[int, int]]:
-    """(base, gain) of (x, y, weight) triples: the weight of the label-1
-    triples, and per point x the error added by labeling x 1 instead of 0. A
-    labeling's error is base plus the gain of each point it labels 1."""
+def popcount_column(
+    masks: Sequence[int], weighted: Iterable[tuple[int, int, int]]
+) -> tuple[int, ...]:
+    """Total weight each labeling gets wrong over (x, y, weight) triples, the
+    labelings given as `HypothesisClass.masks`.
+
+    The points are grouped into one bit mask per distinct nonzero gain, so a
+    labeling's error is base plus each gain times a popcount. A labeling's
+    error depends only on its restriction `mask & support` to the points, so
+    it is summed once per distinct restriction."""
+    # error = base (the label-1 weight) + the gain of each point labeled 1
     base = 0
     gain: dict[int, int] = {}
     for x, y, w in weighted:
@@ -242,49 +255,11 @@ def _gains(weighted: Iterable[tuple[int, int, int]]) -> tuple[int, dict[int, int
             base += w
             w = -w
         gain[x] = gain.get(x, 0) + w
-    return base, gain
-
-
-def error_column(
-    labelings: Sequence[Sequence[int]], weighted: Iterable[tuple[int, int, int]]
-) -> tuple[int, ...]:
-    """Total weight each labeling gets wrong over (x, y, weight) triples.
-
-    A labeling's error depends only on its restriction to the points, so it
-    is summed once per distinct restriction tuple."""
-    base, gain = _gains(weighted)
-    if not gain:
-        return (0,) * len(labelings)
-    # one point repeated with gain 0 keeps a single point's restriction a tuple
-    restrict = itemgetter(*gain, next(iter(gain)))
-    gains = (*gain.values(), 0)
-    error: dict[tuple[int, ...], int] = {}  # distinct restriction: its error
-    column = []
-    for r in map(restrict, labelings):
-        e = error.get(r)
-        if e is None:
-            e = error[r] = sum(compress(gains, r), base)
-        column.append(e)
-    return tuple(column)
-
-
-def popcount_column(
-    masks: Sequence[int], weighted: Iterable[tuple[int, int, int]]
-) -> tuple[int, ...]:
-    """`error_column` over labelings given as `HypothesisClass.masks`.
-
-    The points are grouped into one bit mask per distinct nonzero gain, so a
-    labeling's error is base plus each gain times a popcount, summed once per
-    distinct restriction `mask & support`. Faster than `error_column` on wide
-    supports with few distinct gains (domain columns); slower on samples,
-    where nearly every count is its own gain."""
-    base, gain = _gains(weighted)
     groups: dict[int, int] = {}  # gain: bit 8x set for each point x with that gain
-    support = 0
     for x, g in gain.items():
         if g:
             groups[g] = groups.get(g, 0) | 1 << 8 * x
-            support |= 1 << 8 * x
+    support = sum(groups.values())
     terms = tuple(groups.items())
     error: dict[int, int] = {}  # distinct restriction: its error
     column = []
@@ -292,7 +267,10 @@ def popcount_column(
         r = mask & support
         e = error.get(r)
         if e is None:
-            e = error[r] = base + sum(g * (r & group).bit_count() for g, group in terms)
+            e = base
+            for g, group in terms:
+                e += g * (r & group).bit_count()
+            error[r] = e
         column.append(e)
     return tuple(column)
 
@@ -318,8 +296,8 @@ class ErrorMatrix:
     the errors on domain j as integer numerators over one common
     `denominator`, the LCM of all atom-mass denominators, so comparisons,
     maxima and gaps run on ints and `Fraction`s appear only in return values.
-    Row i is hypothesis i. Domain columns come from `popcount_column`; sample
-    columns (`mistakes`) from `error_column`.
+    Row i is hypothesis i. Domain and sample columns come from
+    `popcount_column`.
     """
 
     def __init__(self, hc: HypothesisClass, domains: Sequence[LabeledDistribution]) -> None:
@@ -341,7 +319,7 @@ class ErrorMatrix:
         self.rows = len(masks)
         self.denominator = den
         self.columns: tuple[tuple[int, ...], ...] = tuple(columns)
-        self._labelings = [h.labels for h in hc.members]
+        self._masks = masks
         self._atoms = [d.atoms for d in domains]
 
     def error(self, i: int, j: int) -> Fraction:
@@ -360,7 +338,7 @@ class ErrorMatrix:
         the sample given as the index into domain j's atoms of each point."""
         atoms = self._atoms[j]
         hits = Counter(atom_indices).items()
-        return error_column(self._labelings, ((atoms[k].x, atoms[k].y, c) for k, c in hits))
+        return popcount_column(self._masks, ((atoms[k].x, atoms[k].y, c) for k, c in hits))
 
     def divergence(self, j: int, k: int, tau: Fraction | None = None) -> Fraction | None:
         """Largest error gap between domains j and k over the hypotheses whose

@@ -24,8 +24,9 @@ from .core import (
     LabeledDistribution,
     LabeledSample,
     MetaDistribution,
+    SpaceMismatchError,
     argmin_max,
-    error_column,
+    popcount_column,
 )
 from .seeding import derive_seeds, rng_for
 
@@ -165,12 +166,14 @@ def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> Train
 def estimate_errors(hc: HypothesisClass, t: TrainingSet) -> ErrorTable:
     """Empirical error of every hypothesis on every sample of the training set;
     each distinct point of a sample is scored once, weighted by its count."""
-    labelings = [h.labels for h in hc.members]
     columns = []
     for s in t.samples:
         if len(s) == 0:
             raise ValueError("empirical error over an empty sample is undefined")
-        wrong = error_column(labelings, ((x, y, c) for (x, y), c in Counter(s.points).items()))
+        counts = Counter(s.points)
+        if max(x for x, _ in counts) >= hc.space:
+            raise SpaceMismatchError(f"sample point outside the class's space of size {hc.space}")
+        wrong = popcount_column(hc.masks, ((x, y, c) for (x, y), c in counts.items()))
         columns.append([Fraction(w, len(s)) for w in wrong])
     return ErrorTable(tuple(zip(*columns)), "empirical")
 

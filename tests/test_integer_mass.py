@@ -204,7 +204,7 @@ class TestVerifyIndependence:
             raise AssertionError("verify_certificate reached the search path")
 
         for module in (core, dimensions):
-            for name in ("ErrorMatrix", "error_column", "popcount_column", "induce_partial_class",
+            for name in ("ErrorMatrix", "popcount_column", "induce_partial_class",
                          "partial_vc_dim"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)

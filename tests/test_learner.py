@@ -12,6 +12,7 @@ from genlab import (
     LabeledSample,
     Atom,
     MetaDistribution,
+    SpaceMismatchError,
     TrainingSet,
     domain_error,
     draw_domain_indices,
@@ -141,6 +142,8 @@ class TestEstimation:
         table = estimate_errors(hc, t)
         assert table.entries[0] == (F(0),) * 4
         assert table.entries[1] == (F(1),) * 4
+        with pytest.raises(SpaceMismatchError, match="outside the class's space"):
+            estimate_errors(HypothesisClass(1, (Hypothesis((0,)),)), t)
 
     def test_single_point_entries_are_binary(self):
         rng = random.Random(55023)
