@@ -18,7 +18,6 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
 
 from .core import GenlabError, domain_error
 from .constructions import (
@@ -49,6 +48,7 @@ from .learner import (
 )
 from .seeding import DEFAULT_SEED
 from .serialize import (
+    _field,
     certificate_to_dict,
     cover_to_dict,
     domain_to_dict,
@@ -278,16 +278,19 @@ _EXPERIMENTS = {
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {args.threads}")
     with open(args.config, encoding="utf-8") as fh:
-        raw: dict[str, Any] = json.load(fh)
+        raw = json.load(fh)
     name = args.experiment_name
-    declared = raw.get("experiment")
+    what = f"{name} config"
+    declared = _field(raw, "experiment", what, default=None)
     if declared is not None and declared != name:
         raise ValueError(f"config declares experiment {declared!r}, command is {name!r}")
-    raw["seed"] = _resolve_seed(args.seed, raw.get("seed"))
+    raw["seed"] = _resolve_seed(args.seed, _field(raw, "seed", what, default=None))
     config_cls, runner = _EXPERIMENTS[name]
     cfg = config_cls.from_dict(raw)
-    report = runner(cfg, threads=args.threads)
+    report = runner(cfg)
     out = _out_dir(args)
     payload = report.to_json_dict()
     payload["series"] = report.series()
@@ -413,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for report.json/report.csv/series.json")
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config file's seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="at least 1; trials run on one thread, so it changes nothing")
         p.add_argument("--float-digits", type=int, default=12,
                        help="significant digits for float echo columns")
         p.set_defaults(func=cmd_experiment)

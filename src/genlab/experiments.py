@@ -9,8 +9,9 @@ wrong where it has not looked.
 Every trial is reproducible from (config, master seed) alone: trial seeds are
 derived by stable hashing and error accounting is exact. Trials run one after
 another on the calling thread: they are pure-Python `Fraction` work, so worker
-threads only contend for the interpreter lock. The `threads` argument is
-accepted and checked but changes no output byte.
+threads would only contend for the interpreter lock. Configs are read from
+JSON by `serialize`'s readers, so their fields follow the data files' rules:
+integers are exact JSON integers and rationals are "p/q" strings.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, ClassVar, Sequence, TypeVar
@@ -54,21 +55,9 @@ from .learner import (
     uniform_weights,
 )
 from .seeding import derive_seed, derive_seeds, rng_for
-from .serialize import rational_from_str, rational_to_str
+from .serialize import _field, _int, _typed, rational_from_str, rational_to_str
 
 SCALING_GENERATORS = ("adversarial-meta", "uniform-shattered", "point-mass")
-
-
-def _json_int(value: Any) -> int:
-    if type(value) is not int:
-        raise ValueError(f"must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_ints(value: Any) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"must be a JSON list of integers, got {value!r}")
-    return tuple(map(_json_int, value))
 
 
 def _check_grid(grid: Sequence[int], name: str = "n") -> tuple[int, ...]:
@@ -80,11 +69,12 @@ def _check_grid(grid: Sequence[int], name: str = "n") -> tuple[int, ...]:
     return grid
 
 
-# Config value parsers, keyed by the field annotation.
-_PARSERS = {
-    "str": str,
-    "int": _json_int,
-    "tuple[int, ...]": _json_ints,
+# Config value readers, keyed by the field annotation; each takes the JSON
+# value and the name a refusal gives it.
+_PARSERS: dict[str, Callable[[Any, str], Any]] = {
+    "str": lambda value, name: _typed(value, str, name),
+    "int": _int,
+    "tuple[int, ...]": lambda value, name: tuple(_int(v, name) for v in _typed(value, list, name)),
     "Fraction": rational_from_str,
     "Fraction | None": rational_from_str,
 }
@@ -102,19 +92,16 @@ class _Config:
 
     @classmethod
     def from_dict(cls: type[_C], obj: dict[str, Any]) -> _C:
+        what = f"{cls.experiment} config"
         specs = fields(cls)
-        unknown = set(obj) - {f.name for f in specs} - {"experiment"}
+        unknown = set(_typed(obj, dict, what)) - {f.name for f in specs} - {"experiment"}
         if unknown:
-            raise ValueError(f"unknown {cls.experiment} config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
         values = {}
         for f in specs:
-            if obj.get(f.name) is not None:
-                try:
-                    values[f.name] = _PARSERS[f.type](obj[f.name])
-                except ValueError as exc:
-                    raise ValueError(f"{cls.experiment} config {f.name!r} {exc}") from exc
-            elif f.default is MISSING:
-                raise ValueError(f"{cls.experiment} config needs {f.name!r}")
+            value = _field(obj, f.name, what, default=f.default)
+            if value is not f.default:
+                values[f.name] = _PARSERS[f.type](value, f"{what} {f.name!r}")
         return cls(**values)
 
     def to_dict(self) -> dict[str, Any]:
@@ -282,11 +269,6 @@ class ExperimentReport:
         return [{"x": r.trial, "y": float(r.er_exact)} for r in self.rows]
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-
-
 def _flipped_pool(
     family_alpha: Fraction, tau: Fraction
 ) -> tuple[LowerBoundFamily, tuple[LabeledDistribution, ...], ErrorMatrix]:
@@ -390,13 +372,12 @@ def _scaling_aggregates(
     return agg
 
 
-def run_scaling(cfg: ScalingConfig, threads: int = 1) -> ExperimentReport:
+def run_scaling(cfg: ScalingConfig) -> ExperimentReport:
     """Risk of the min-max learner as a function of the number of domain draws.
 
     The generator fixes the pool of domains, tau, the aggregate extras and,
     per trial, the meta's weights, its pool columns and the row's extras.
     """
-    _check_threads(threads)
     alpha = cfg.alpha if cfg.alpha is not None else cfg.family_alpha / 2
     epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
     if cfg.generator == "adversarial-meta":
@@ -516,9 +497,7 @@ def exposure_trial(
     return (*exposure(sum(1 << p for p in set(points))), points)
 
 
-def run_uniform_convergence(
-    cfg: UniformConvergenceConfig, threads: int = 1
-) -> ExperimentReport:
+def run_uniform_convergence(cfg: UniformConvergenceConfig) -> ExperimentReport:
     """How often a concept with large exact 1-mass looks all-zero on a sample.
 
     The universe is the built family's domain list under the uniform
@@ -528,7 +507,6 @@ def run_uniform_convergence(
     trial is scored from the set of points it drew, so its draws stop once
     every point has been seen.
     """
-    _check_threads(threads)
     base = large_k_family(cfg.family_alpha)
     query = DimensionQuery(cfg.tau, cfg.family_alpha)
     pcc = induce_partial_class(base.slice.hypothesis_class, base.family, query)
@@ -589,11 +567,10 @@ def run_uniform_convergence(
     return ExperimentReport("uniform-convergence", cfg.to_dict(), tuple(rows), agg)
 
 
-def run_lower_bound(cfg: LowerBoundConfig, threads: int = 1) -> ExperimentReport:
+def run_lower_bound(cfg: LowerBoundConfig) -> ExperimentReport:
     """Hide a uniform bit vector behind flipped domains and measure how often
     the learner's risk at tau' = lam/(1+lam) - margin exceeds gamma, plus the
     failure rate on unseen flipped-family indices."""
-    _check_threads(threads)
     lbf, _, matrix = _flipped_pool(cfg.family_alpha, cfg.tau)
     tau_prime = lbf.threshold_floor() - cfg.tau_margin
     weights = lbf.meta_weights(cfg.gamma)

@@ -45,6 +45,8 @@ class TrainingSet:
             raise ValueError("one sample per sampled domain required")
         if len(self.draw_seeds) != len(self.domain_indices):
             raise ValueError("one draw seed per sampled domain required")
+        if any(i < 0 for i in self.domain_indices):
+            raise ValueError(f"domain indices must be non-negative, got {self.domain_indices}")
         sizes = {len(s) for s in self.samples}
         if len(sizes) > 1:
             raise ValueError("all samples must have the same number of points")

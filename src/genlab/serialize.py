@@ -12,6 +12,7 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
+from dataclasses import MISSING
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, TextIO
@@ -33,23 +34,29 @@ from .learner import ErrorTable, TrainingSet
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-class FormatError(GenlabError):
+class FormatError(GenlabError, ValueError):
     """A file or string does not match the expected format."""
 
 
-def _field(obj: Any, key: str, kind: type, what: str) -> Any:
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """`value`, refused unless it is a JSON `kind` (list, dict or str)."""
+    if not isinstance(value, kind):
+        name = {list: "list", dict: "object", str: "string"}[kind]
+        raise FormatError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+    return value
+
+
+def _field(obj: Any, key: str, what: str, kind: type = object, default: Any = MISSING) -> Any:
     """obj[key], refusing an `obj` that is not a JSON object, a missing key and
-    a value of another JSON type than `kind` (list or dict)."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    a value that is not a `kind`. With a `default`, an absent or null key reads
+    as the default."""
+    _typed(obj, dict, what)
+    value = obj.get(key)
+    if value is None and default is not MISSING:
+        return default
     if key not in obj:
         raise FormatError(f"{what} needs a '{key}' field")
-    if not isinstance(obj[key], kind):
-        expected = "list" if kind is list else "object"
-        raise FormatError(
-            f"{what} field '{key}' must be a JSON {expected}, got {type(obj[key]).__name__}"
-        )
-    return obj[key]
+    return value if kind is object else _typed(value, kind, f"{what} '{key}'")
 
 
 def _int(value: Any, what: str) -> int:
@@ -64,17 +71,19 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_str(text: str) -> Fraction:
-    if isinstance(text, int):
+def rational_from_str(text: Any, what: str = "") -> Fraction:
+    """A "p/q" or integer string, or a JSON integer (not a boolean), as a
+    Fraction; `what` names the value in a refusal."""
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise FormatError(
-            f"expected a decimal-free rational like '3/10' or '7', got {text!r}"
+            f"{what} expected a decimal-free rational like '3/10' or '7', got {text!r}".lstrip()
         )
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
-        raise FormatError(f"zero denominator in rational {text!r}") from exc
+        raise FormatError(f"{what} zero denominator in rational {text!r}".lstrip()) from exc
 
 
 def domain_to_dict(d: LabeledDistribution) -> dict[str, Any]:
@@ -87,14 +96,15 @@ def domain_to_dict(d: LabeledDistribution) -> dict[str, Any]:
 
 
 def domain_from_dict(obj: dict[str, Any]) -> LabeledDistribution:
-    try:
-        atoms = tuple(
-            Atom(_int(a["x"], "atom x"), _int(a["y"], "atom y"), rational_from_str(a["mass"]))
-            for a in obj["atoms"]
+    atoms = tuple(
+        Atom(
+            _int(_field(a, "x", "atom"), "atom x"),
+            _int(_field(a, "y", "atom"), "atom y"),
+            rational_from_str(_field(a, "mass", "atom"), "atom mass"),
         )
-        return LabeledDistribution(_int(obj["space"], "domain space"), atoms)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed domain object: {exc}") from exc
+        for a in _field(obj, "atoms", "domain object", list)
+    )
+    return LabeledDistribution(_int(_field(obj, "space", "domain object"), "domain space"), atoms)
 
 
 def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
@@ -118,16 +128,11 @@ def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
 
 
 def _domains_from_entries(entries: list[Any], base_dir: Path | None) -> tuple[LabeledDistribution, ...]:
-    domains = []
-    for entry in entries:
-        if isinstance(entry, str):
-            path = Path(entry)
-            if not path.is_absolute() and base_dir is not None:
-                path = base_dir / path
-            domains.append(domain_from_dict(_read_json(path)))
-        else:
-            domains.append(domain_from_dict(entry))
-    return tuple(domains)
+    """Domain objects, or paths to domain files relative to `base_dir`."""
+    return tuple(
+        domain_from_dict(_read_json(Path(base_dir or "") / e) if isinstance(e, str) else e)
+        for e in entries
+    )
 
 
 def family_to_dict(g: DomainFamily) -> dict[str, Any]:
@@ -136,7 +141,7 @@ def family_to_dict(g: DomainFamily) -> dict[str, Any]:
 
 def family_from_dict(obj: dict[str, Any], base_dir: Path | None = None) -> DomainFamily:
     """Accepts both plain families and meta files (weights ignored)."""
-    domains = _domains_from_entries(_field(obj, "domains", list, "family object"), base_dir)
+    domains = _domains_from_entries(_field(obj, "domains", "family object", list), base_dir)
     if not domains:
         raise FormatError("family object lists no domains")
     return DomainFamily(domains[0].space, domains)
@@ -150,8 +155,10 @@ def meta_to_dict(p: MetaDistribution) -> dict[str, Any]:
 
 
 def meta_from_dict(obj: dict[str, Any], base_dir: Path | None = None) -> MetaDistribution:
-    domains = _domains_from_entries(_field(obj, "domains", list, "meta object"), base_dir)
-    weights = tuple(rational_from_str(w) for w in _field(obj, "weights", list, "meta object"))
+    domains = _domains_from_entries(_field(obj, "domains", "meta object", list), base_dir)
+    weights = tuple(
+        rational_from_str(w, "meta weight") for w in _field(obj, "weights", "meta object", list)
+    )
     if not domains:
         raise FormatError("meta object lists no domains")
     return MetaDistribution(DomainFamily(domains[0].space, domains), weights)
@@ -167,9 +174,9 @@ def certificate_to_dict(cert: ShatteringCertificate) -> dict[str, Any]:
 def certificate_from_dict(obj: dict[str, Any]) -> ShatteringCertificate:
     """Witnesses are keyed by the decimal string of each subset bitmask, and
     indices and witnesses are JSON integers."""
-    listed = _field(obj, "S", list, "certificate object")
+    listed = _field(obj, "S", "certificate object", list)
     indices = tuple(_int(i, "certificate index") for i in listed)
-    table = _field(obj, "witnesses", dict, "certificate object")
+    table = _field(obj, "witnesses", "certificate object", dict)
     size = 1 << len(indices)
     if len(table) != size or table.keys() != {str(m) for m in range(size)}:
         raise CertificateError(
@@ -189,15 +196,14 @@ def cover_to_dict(cover: Cover) -> dict[str, Any]:
 
 
 def cover_from_dict(obj: dict[str, Any]) -> Cover:
+    what = "cover object"
+    centers = tuple(_int(c, "cover center") for c in _field(obj, "centers", what, list))
+    radius = rational_from_str(_field(obj, "radius", what), "cover radius")
+    tau = _field(obj, "tau", what)
+    query = DivergenceQuery(None if tau is None else rational_from_str(tau, "cover tau"))
     try:
-        tau = obj["tau"]
-        centers = _field(obj, "centers", list, "cover object")
-        return Cover(
-            tuple(_int(c, "cover center") for c in centers),
-            rational_from_str(obj["radius"]),
-            DivergenceQuery(None if tau is None else rational_from_str(tau)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return Cover(centers, radius, query)
+    except ValueError as exc:
         raise FormatError(f"malformed cover object: {exc}") from exc
 
 
@@ -211,19 +217,18 @@ def training_set_to_dict(t: TrainingSet) -> dict[str, Any]:
 
 
 def training_set_from_dict(obj: dict[str, Any]) -> TrainingSet:
-    try:
-        samples = tuple(
-            LabeledSample(tuple((_int(x, "sample x"), _int(y, "sample y")) for x, y in rows))
-            for rows in obj["samples"]
-        )
-        return TrainingSet(
-            tuple(_int(i, "domain index") for i in obj["domain_indices"]),
-            samples,
-            _int(obj["master_seed"], "master seed"),
-            tuple(_int(s, "draw seed") for s in obj["draw_seeds"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed training set object: {exc}") from exc
+    what = "training set object"
+    rows = _field(obj, "samples", what, list)
+    try:  # LabeledSample unpacks each point as an [x, y] pair of JSON integers
+        samples = tuple(LabeledSample(tuple(points)) for points in rows)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed training set sample: {exc}") from exc
+    return TrainingSet(
+        tuple(_int(i, "domain index") for i in _field(obj, "domain_indices", what, list)),
+        samples,
+        _int(_field(obj, "master_seed", what), "master seed"),
+        tuple(_int(s, "draw seed") for s in _field(obj, "draw_seeds", what, list)),
+    )
 
 
 def error_table_to_dict(t: ErrorTable) -> dict[str, Any]:
@@ -234,13 +239,12 @@ def error_table_to_dict(t: ErrorTable) -> dict[str, Any]:
 
 
 def error_table_from_dict(obj: dict[str, Any]) -> ErrorTable:
-    try:
-        rows = tuple(
-            tuple(rational_from_str(v) for v in row) for row in obj["entries"]
-        )
-        return ErrorTable(rows, str(obj["mode"]))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed error table object: {exc}") from exc
+    what = "error table object"
+    rows = tuple(
+        tuple(rational_from_str(v, "error table entry") for v in _typed(r, list, "error table row"))
+        for r in _field(obj, "entries", what, list)
+    )
+    return ErrorTable(rows, _field(obj, "mode", what, str))
 
 
 def _read_json(path: Path | str) -> Any:

@@ -160,6 +160,8 @@ class TestDimensionCommands:
     @pytest.mark.parametrize("family, reason", [
         ([{"space": 5, "atoms": [{"x": 0, "y": 0, "mass": "1"}]}], "must be a JSON object"),
         ({"domains": "abc"}, "'domains' must be a JSON list"),
+        ({"domains": [{"space": 10, "atoms": [{"x": 0, "y": 0, "mass": True}]}]},
+         "atom mass expected a decimal-free rational"),
     ])
     def test_malformed_family_refused(self, built, capsys, family, reason):
         bad = built / "bad_family.json"
@@ -452,6 +454,7 @@ class TestExperimentCommands:
         ("trials", 2.7), ("trials", "30"), ("trials", True), ("seed", True), ("seed", "30"),
         ("seed", 2.0), ("n_grid", [1, 2.9]), ("n_grid", "12"), ("n_grid", 12),
         ("n_grid", [1, True]), ("c_grid", "48"), ("c_grid", 8), ("c_grid", [1, 2.0]),
+        ("tau", True),
     ])
     def test_non_integer_config_values_refused(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "uc.json", {**self.UC, key: value})
@@ -462,6 +465,17 @@ class TestExperimentCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err and not out_dir.exists()
+
+    @pytest.mark.parametrize("config", [[], None, 7, "x"], ids=["list", "null", "int", "str"])
+    def test_non_object_config_refused(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path / "cfg.json", config)
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "experiment", "scaling", "--config", cfg, "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scaling config must be a JSON object") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("edit", [
         {"seed": 2**64 - 1}, {"seed": None}, {"tau": None, "delta": None, "c_grid": None},

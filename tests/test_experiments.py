@@ -124,14 +124,18 @@ class TestConfigs:
         with pytest.raises(ValueError, match="gamma"):
             LowerBoundConfig.from_dict(obj)
 
-    def test_threads_below_one_refused(self):
-        for runner, cfg in (
-            (run_scaling, SMALL_SCALING),
-            (run_uniform_convergence, SMALL_UC),
-            (run_lower_bound, SMALL_LB),
-        ):
-            with pytest.raises(ValueError, match="threads"):
-                runner(cfg, threads=0)
+    @pytest.mark.parametrize("generator", [5, ["point-mass"], True])
+    def test_generator_read_as_json_string(self, generator):
+        obj = SMALL_SCALING.to_dict()
+        obj["generator"] = generator
+        with pytest.raises(ValueError, match="'generator' must be a JSON string"):
+            ScalingConfig.from_dict(obj)
+
+    def test_boolean_rational_refused(self):
+        obj = SMALL_SCALING.to_dict()
+        obj["tau"] = True
+        with pytest.raises(ValueError, match="'tau' expected a decimal-free rational"):
+            ScalingConfig.from_dict(obj)
 
 
 class TestTypeHints:
@@ -355,19 +359,6 @@ class TestLowerBound:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_bytes(self):
-        for runner, cfg in (
-            (run_scaling, SMALL_SCALING),
-            (run_uniform_convergence, SMALL_UC),
-            (run_lower_bound, SMALL_LB),
-        ):
-            a = runner(cfg, threads=1)
-            b = runner(cfg, threads=3)
-            assert a.to_csv_text() == b.to_csv_text()
-            assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-                b.to_json_dict(), sort_keys=True
-            )
-
     def test_rerun_is_identical(self):
         a = run_scaling(SMALL_SCALING)
         b = run_scaling(SMALL_SCALING)

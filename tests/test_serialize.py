@@ -63,6 +63,11 @@ class TestRationalStrings:
             with pytest.raises(FormatError):
                 rational_from_str(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, 0.5, None, [1]])
+    def test_non_integer_json_values_refused(self, bad):
+        with pytest.raises(FormatError, match="atom mass expected"):
+            rational_from_str(bad, "atom mass")
+
 
 class TestDictRoundTrips:
     def test_domain(self):
@@ -200,6 +205,39 @@ class TestIntegersNotCoerced:
         edit(obj)
         with pytest.raises(FormatError):
             training_set_from_dict(obj)
+
+    def test_training_set_negative_index_refused(self):
+        obj = _training_obj()
+        obj["domain_indices"][0] = -1
+        with pytest.raises(ValueError, match="domain indices must be non-negative"):
+            training_set_from_dict(obj)
+
+    @pytest.mark.parametrize("mode", [5, ["exact"], None])
+    def test_error_table_mode_read_as_json_string(self, mode):
+        obj = {"mode": mode, "entries": [["1/2"]]}
+        with pytest.raises(FormatError, match="'mode' must be a JSON string"):
+            error_table_from_dict(obj)
+
+
+class TestMissingKeysNamed:
+    """A missing key or a wrong container names the key, not a Python error."""
+
+    @pytest.mark.parametrize("loader, obj, message", [
+        (domain_from_dict, {"space": 2, "atoms": [{"x": 0, "y": 0}]}, "atom needs a 'mass' field"),
+        (domain_from_dict, {"atoms": []}, "domain object needs a 'space' field"),
+        (domain_from_dict, {"space": 2, "atoms": {}}, "'atoms' must be a JSON list"),
+        (domain_from_dict, {"space": 2, "atoms": [[0, 0, "1"]]}, "atom must be a JSON object"),
+        (cover_from_dict, {"centers": [0], "radius": "0"}, "cover object needs a 'tau' field"),
+        (training_set_from_dict, {"samples": []}, "needs a 'domain_indices' field"),
+        (training_set_from_dict, {"samples": 3}, "'samples' must be a JSON list"),
+        (training_set_from_dict, {"samples": [[5]]}, "malformed training set sample"),
+        (error_table_from_dict, {"entries": [["1/2"]]}, "needs a 'mode' field"),
+        (error_table_from_dict, {"mode": "exact", "entries": ["1/2"]},
+         "error table row must be a JSON list"),
+    ])
+    def test_refusal_names_the_key(self, loader, obj, message):
+        with pytest.raises(FormatError, match=message):
+            loader(obj)
 
 
 class TestFiles:
