@@ -4,7 +4,8 @@ per-n gamma, and two lower-bound sizes. The trials-exact and trials-sampled
 configs are the benchmark's, and their default-seed digests equal the ones in
 perfbench/pins.json. Refused configs must print the same error line. Every
 file `construct` writes for the large-k, lower-bound, product and adversarial
-constructions is pinned too."""
+constructions is pinned too, and so is what `learn` writes and prints on the
+adversarial one."""
 import hashlib
 import json
 
@@ -222,3 +223,35 @@ def test_construct_bytes_pinned(tmp_path, capsys, label):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
     }
     assert digests == pins
+
+
+# `learn --out` on the adversarial construction above: the stdout line (before
+# its " out=" suffix) and the sha256 of the file, at two sample sizes and seeds.
+LEARN_PINS = {
+    ("--n", "12", "--m", "40", "--seed", "1"): (
+        "minmax=3 pooled=0 n=12 m=40 seed=1 max_train_err=3/8",
+        "66691f6d075d4ca66902863ba5572d645986096acc8caeeb0de44808f08bcd0b"),
+    ("--n", "12", "--m", "40", "--seed", "2"): (
+        "minmax=7 pooled=3 n=12 m=40 seed=2 max_train_err=11/40",
+        "cc5f70647279323bcb9db07a2a28f6064b9323ffd4385658c8228548ba0d1fff"),
+    ("--n", "5", "--epsilon", "1/4", "--seed", "1"): (
+        "minmax=0 pooled=0 n=5 m=54 seed=1 max_train_err=0/1",
+        "5488fa0798e3f2ee8ebd27f554f24df0064a0efd5f41566f71fd6ad342273bc2"),
+    ("--n", "5", "--epsilon", "1/4", "--seed", "2"): (
+        "minmax=3 pooled=3 n=5 m=54 seed=2 max_train_err=7/27",
+        "4e394d10ec1b856e41077697272737d5ea0d85724abee57a86eeb0fc9bebdc56"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LEARN_PINS), ids=" ".join)
+def test_learn_bytes_pinned(tmp_path, capsys, argv):
+    argv_construct, _ = CONSTRUCT_PINS["adversarial 1/50"]
+    assert main(["construct", *argv_construct, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "learn.json"
+    code = main(["learn", "--class", str(tmp_path / "class.json"),
+                 "--meta", str(tmp_path / "meta.json"), *argv, "--out", str(out)])
+    line, digest = LEARN_PINS[argv]
+    assert code == 0
+    assert capsys.readouterr().out == f"{line} out={out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
