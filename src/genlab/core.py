@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
@@ -42,6 +42,29 @@ class ConfigError(GenlabError):
 def _check_space(size: int) -> None:
     if not isinstance(size, int) or size < 1:
         raise ValueError(f"instance space size must be a positive integer, got {size!r}")
+
+
+def exact_values(values: Iterable[Fraction], what: str) -> tuple[Fraction, ...]:
+    """The values as a tuple; each must be an `int` (not a `bool`) or a `Fraction`."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int, Fraction}:
+        bad = next(v for v in values if type(v) not in (int, Fraction))
+        raise ValueError(f"{what} must be ints or Fractions, got {bad!r}")
+    return values
+
+
+def unit_weights(weights: Iterable[Fraction], what: str) -> tuple[list[int], int]:
+    """(numerators, denominator) of exact weights that are non-negative and sum
+    to exactly 1: each weight's integer numerator over the LCM of their
+    denominators. `what` names the weights in a refusal."""
+    weights = exact_values(weights, what)
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    if min(nums, default=0) < 0:
+        raise ValueError(f"{what} must be non-negative")
+    if sum(nums) != den:
+        raise ValueError(f"{what} must sum to 1, got {Fraction(sum(nums), den)}")
+    return nums, den
 
 
 @dataclass(frozen=True)
@@ -129,14 +152,14 @@ class LabeledDistribution:
 
     def __post_init__(self) -> None:
         _check_space(self.space)
-        atoms = []
-        for x, y, m in self.atoms:
+        raw = tuple(self.atoms)
+        for x, y, _ in raw:
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"atom instance and label must be integers, got {(x, y)!r}")
-            atoms.append(Atom(x, y, m if type(m) is Fraction else Fraction(m)))
-        atoms = tuple(sorted(atoms))
-        if not atoms:
-            raise ValueError("distribution needs at least one atom")
+        raw = sorted(raw, key=itemgetter(0, 1))
+        nums, den = unit_weights([m for _, _, m in raw], "atom masses")
+        atoms = tuple(Atom(x, y, m if type(m) is Fraction else Fraction(m)) for x, y, m in raw)
+        weighted = tuple((x, y, w) for (x, y, _), w in zip(raw, nums))
         seen: set[tuple[int, int]] = set()
         for a in atoms:
             if not (0 <= a.x < self.space):
@@ -148,11 +171,6 @@ class LabeledDistribution:
             if (a.x, a.y) in seen:
                 raise ValueError(f"duplicate atom for (x={a.x}, y={a.y})")
             seen.add((a.x, a.y))
-        den = math.lcm(*(a.mass.denominator for a in atoms))
-        weighted = tuple((a.x, a.y, a.mass.numerator * (den // a.mass.denominator)) for a in atoms)
-        total = sum(w for _, _, w in weighted)
-        if total != den:
-            raise ValueError(f"atom masses must sum to 1, got {Fraction(total, den)}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "weighted", weighted)
@@ -191,16 +209,13 @@ class MetaDistribution:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple(self.weights)
         if len(weights) != len(self.family):
             raise ValueError(
                 f"{len(weights)} weights for {len(self.family)} domains"
             )
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        if sum(weights, start=ZERO) != 1:
-            raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "weights", weights)
+        unit_weights(weights, "weights")
+        object.__setattr__(self, "weights", tuple(map(Fraction, weights)))
 
     def support(self) -> tuple[int, ...]:
         """Indices of domains with positive weight."""

@@ -22,6 +22,7 @@ from .core import (
     LabeledDistribution,
     SpaceMismatchError,
     ZERO,
+    unit_weights,
 )
 from .dimensions import DimensionQuery, gdim
 from .seeding import rng_for
@@ -166,16 +167,9 @@ def smooth_family(
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     if count < 1:
         raise ValueError("need at least one domain")
-    mu0 = [Fraction(w) for w in mu0]
     space = len(mu0)
-    if space < 1:
-        raise ValueError("reference marginal must be non-empty")
-    if any(w < 0 for w in mu0):
-        raise ValueError("reference masses must be non-negative")
-    if sum(mu0, start=ZERO) != 1:
-        raise ValueError("reference masses must sum to 1")
-    labels = [int(v) for v in pstar]
-    if len(labels) != space or any(v not in (0, 1) for v in labels):
+    unit_weights(mu0, "reference masses")
+    if len(pstar) != space or any(type(v) is not int or v not in (0, 1) for v in pstar):
         raise ValueError("labeling must assign 0/1 to every instance")
     support = [x for x in range(space) if mu0[x] > 0]
     r = _sqrt_upper(gamma)
@@ -197,6 +191,6 @@ def smooth_family(
             raise ConstructionError(
                 f"could not satisfy the ratio band for gamma={gamma}"
             )
-        atoms = tuple(Atom(x, labels[x], masses[x]) for x in support)
+        atoms = tuple(Atom(x, pstar[x], masses[x]) for x in support)
         domains.append(LabeledDistribution(space, atoms))
     return DomainFamily(space, tuple(domains))

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, islice
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .core import (
-    ZERO,
     ErrorMatrix,
     HypothesisClass,
     LabeledDistribution,
@@ -26,7 +26,9 @@ from .core import (
     MetaDistribution,
     SpaceMismatchError,
     argmin_max,
+    exact_values,
     popcount_column,
+    unit_weights,
 )
 from .seeding import derive_seeds, rng_for
 
@@ -65,7 +67,7 @@ class ErrorTable:
     def __post_init__(self) -> None:
         if self.mode not in ("empirical", "exact"):
             raise ValueError(f"table mode must be 'empirical' or 'exact', got {self.mode!r}")
-        entries = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
+        entries = tuple(tuple(map(Fraction, exact_values(r, "error values"))) for r in self.entries)
         if not entries or not entries[0]:
             raise ValueError("error table must have at least one row and one column")
         width = len(entries[0])
@@ -95,15 +97,9 @@ def inverse_cdf(weights: Sequence[Fraction]) -> Callable[[float], int]:
     a double >= C_k/L smaller than t_k. The last threshold is 1.0 exactly,
     so every u in [0, 1) falls in a bucket.
     """
-    weights = [Fraction(w) for w in weights]
-    if any(w < 0 for w in weights):
-        raise ValueError("sampler weights must be non-negative")
-    den = math.lcm(*(w.denominator for w in weights))
-    cum = list(accumulate(w.numerator * (den // w.denominator) for w in weights))
-    if not cum or cum[-1] != den:
-        raise ValueError(f"sampler weights must sum to 1, got {sum(weights)}")
+    nums, den = unit_weights(weights, "sampler weights")
     thresholds = []
-    for c in cum:
+    for c in accumulate(nums):
         t = c / den
         p, q = t.as_integer_ratio()
         if p * den < c * q:  # t < c/den
@@ -196,22 +192,14 @@ def minmax_erm(table: ErrorTable) -> int:
 
 
 def pooled_erm(table: ErrorTable, weights: Sequence[Fraction]) -> int:
-    """Index minimizing the weighted average column error; lowest index on ties."""
-    weights = [Fraction(w) for w in weights]
+    """Index minimizing the weighted average column error; lowest index on ties.
+    Each row's dot product with the weights' integer numerators is its average
+    times their common denominator, so it has the same minimizers."""
     if len(weights) != table.columns:
         raise ValueError(f"{len(weights)} weights for {table.columns} columns")
-    if any(w < 0 for w in weights):
-        raise ValueError("column weights must be non-negative")
-    if sum(weights, start=ZERO) != 1:
-        raise ValueError("column weights must sum to 1")
-    best: Fraction | None = None
-    best_idx = -1
-    for i, row in enumerate(table.entries):
-        avg = sum((w * v for w, v in zip(weights, row)), start=ZERO)
-        if best is None or avg < best:
-            best = avg
-            best_idx = i
-    return best_idx
+    nums, _ = unit_weights(weights, "column weights")
+    totals = [sum(map(mul, nums, row)) for row in table.entries]
+    return totals.index(min(totals))
 
 
 def uniform_weights(n: int) -> tuple[Fraction, ...]:
