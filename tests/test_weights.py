@@ -135,10 +135,6 @@ class TestSmoothFamilyLabels:
         with pytest.raises(ValueError, match="labeling must assign 0/1 to every instance"):
             smooth_family([F(1, 2), F(1, 2)], pstar, F(1, 2), 2, 7)
 
-    def test_int_labels_kept(self):
-        fam = smooth_family([F(1, 2), F(1, 2)], [1, 0], F(1, 2), 2, 7)
-        assert all([(a.x, a.y) for a in d.atoms] == [(0, 1), (1, 0)] for d in fam.domains)
-
 
 class TestPooledErm:
     def test_matches_the_fraction_loop(self):
