@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter, sub
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 Rational = Fraction
@@ -153,24 +153,23 @@ class LabeledDistribution:
     def __post_init__(self) -> None:
         _check_space(self.space)
         raw = tuple(self.atoms)
-        for x, y, _ in raw:
+        nums, den = unit_weights([m for _, _, m in raw], "atom masses")
+        seen: set[tuple[int, int]] = set()
+        for (x, y, _), w in zip(raw, nums):
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"atom instance and label must be integers, got {(x, y)!r}")
-        raw = sorted(raw, key=itemgetter(0, 1))
-        nums, den = unit_weights([m for _, _, m in raw], "atom masses")
-        atoms = tuple(Atom(x, y, m if type(m) is Fraction else Fraction(m)) for x, y, m in raw)
-        weighted = tuple((x, y, w) for (x, y, _), w in zip(raw, nums))
-        seen: set[tuple[int, int]] = set()
-        for a in atoms:
-            if not (0 <= a.x < self.space):
-                raise ValueError(f"atom instance {a.x} outside space of size {self.space}")
-            if a.y not in (0, 1):
-                raise ValueError(f"atom label must be 0 or 1, got {a.y}")
-            if a.mass.numerator <= 0:
-                raise ValueError(f"atom mass must be positive, got {a.mass}")
-            if (a.x, a.y) in seen:
-                raise ValueError(f"duplicate atom for (x={a.x}, y={a.y})")
-            seen.add((a.x, a.y))
+            if not (0 <= x < self.space):
+                raise ValueError(f"atom instance {x} outside space of size {self.space}")
+            if y not in (0, 1):
+                raise ValueError(f"atom label must be 0 or 1, got {y}")
+            if not w:
+                raise ValueError("atom mass must be positive, got 0")
+            if (x, y) in seen:
+                raise ValueError(f"duplicate atom for (x={x}, y={y})")
+            seen.add((x, y))
+        # (x, y) pairs are distinct, so the sorts never compare masses
+        atoms = tuple(sorted(Atom(x, y, m if type(m) is Fraction else Fraction(m)) for x, y, m in raw))
+        weighted = tuple(sorted((x, y, w) for (x, y, _), w in zip(raw, nums)))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "weighted", weighted)
