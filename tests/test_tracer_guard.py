@@ -2,6 +2,7 @@
 functions by name. Installing and restoring it here makes a renamed or removed
 traced function fail the test suite, not only a traced benchmark run."""
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import genlab
 from genlab import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-MODULES = ("cli", "constructions", "core", "dimensions", "divergence", "experiments",
-           "learner", "seeding", "serialize")
+# importing genlab.__main__ runs the CLI
+MODULES = [m.name for m in pkgutil.iter_modules(genlab.__path__) if m.name != "__main__"]
 
 
 def genlab_bindings():
