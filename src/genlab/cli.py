@@ -13,7 +13,6 @@ byte-identical regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -49,6 +48,7 @@ from .learner import (
 from .seeding import DEFAULT_SEED
 from .serialize import (
     _field,
+    _read_json,
     certificate_to_dict,
     cover_to_dict,
     domain_to_dict,
@@ -280,8 +280,7 @@ _EXPERIMENTS = {
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError(f"threads must be at least 1, got {args.threads}")
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(args.config)
     name = args.experiment_name
     what = f"{name} config"
     declared = _field(raw, "experiment", what, default=None)

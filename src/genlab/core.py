@@ -77,8 +77,11 @@ class Hypothesis:
         labels = tuple(self.labels)
         if len(labels) < 1:
             raise ValueError("hypothesis needs at least one instance")
-        if labels.count(0) + labels.count(1) != len(labels):
-            raise ValueError("hypothesis labels must be 0 or 1")
+        try:  # bytes() refuses a label that is not an int in 0..255
+            if bytes(labels).translate(None, b"\x00\x01"):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError("hypothesis labels must be 0 or 1") from None
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -87,13 +90,6 @@ class Hypothesis:
 
     def __call__(self, x: int) -> int:
         return self.labels[x]
-
-
-def _label_bytes(labels: tuple[int, ...]) -> bytes:
-    try:
-        return bytes(labels)
-    except TypeError:  # labels equal to 0 or 1 but not ints, such as 1.0
-        return bytes(map(int, labels))
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ class HypothesisClass:
     def masks(self) -> tuple[int, ...]:
         """Each member's labels as one int whose byte x holds the label of
         point x."""
-        return tuple(int.from_bytes(_label_bytes(h.labels), "little") for h in self.members)
+        return tuple(int.from_bytes(bytes(h.labels), "little") for h in self.members)
 
 
 class Atom(NamedTuple):

@@ -9,7 +9,7 @@ by an explicit witness map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, or_
@@ -29,10 +29,12 @@ DEFAULT_SEARCH_CAP = 20
 
 @dataclass(frozen=True)
 class PartialConceptClass:
-    """Concepts mapping universe points to 0, 1, or None (undefined)."""
+    """Concepts mapping universe points to 0, 1, or None (undefined); `masks`
+    holds each as a (zero, one) int pair, bit p set where it is 0 (resp. 1) at p."""
 
     universe_size: int
     concepts: tuple[tuple[int | None, ...], ...]
+    masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.universe_size < 0:
@@ -40,14 +42,19 @@ class PartialConceptClass:
         concepts = tuple(tuple(c) for c in self.concepts)
         if not concepts:
             raise ValueError("partial concept class must be non-empty")
+        masks = []
         for i, c in enumerate(concepts):
             if len(c) != self.universe_size:
                 raise ValueError(
                     f"concept {i} has {len(c)} values, universe has {self.universe_size}"
                 )
-            if any(v not in (0, 1, None) for v in c):
+            zero = sum(1 << p for p, v in enumerate(c) if v == 0)
+            one = sum(1 << p for p, v in enumerate(c) if v == 1)
+            if (zero | one).bit_count() + c.count(None) != len(c):
                 raise ValueError(f"concept {i} takes values outside {{0, 1, None}}")
+            masks.append((zero, one))
         object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "masks", tuple(masks))
 
     @classmethod
     def from_hypothesis_class(cls, hc: HypothesisClass) -> "PartialConceptClass":
@@ -134,18 +141,6 @@ def induce_partial_class(
     return PartialConceptClass(len(g), tuple(concepts))
 
 
-def _zero_pattern(concept: tuple[int | None, ...], points: tuple[int, ...]) -> int | None:
-    """Bitmask of points where the concept is 0; None if undefined anywhere."""
-    mask = 0
-    for t, p in enumerate(points):
-        v = concept[p]
-        if v is None:
-            return None
-        if v == 0:
-            mask |= 1 << t
-    return mask
-
-
 def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcResult:
     """Largest shattered point set, by depth-first search with pruning.
 
@@ -173,15 +168,6 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
     if size_cap is not None and size_cap < 1:
         raise ValueError("size cap must be a positive integer")
     cap = DEFAULT_SEARCH_CAP if size_cap is None else size_cap
-    concepts: set[tuple[int, int]] = set()
-    for c in pcc.concepts:
-        zero = one = 0
-        for p, v in enumerate(c):
-            if v == 0:
-                zero |= 1 << p
-            elif v == 1:
-                one |= 1 << p
-        concepts.add((zero, one))
     best: tuple[int, ...] = ()
 
     def visit(points: tuple[int, ...], groups: list[list[tuple[int, int]]],
@@ -212,21 +198,23 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
                 return True
         return False
 
-    capped = visit((), [list(concepts)], (1 << pcc.universe_size) - 1)
+    capped = visit((), [list(set(pcc.masks))], (1 << pcc.universe_size) - 1)
     return VcResult(len(best), best, not capped)
 
 
 def _witnesses(pcc: PartialConceptClass, points: tuple[int, ...]) -> tuple[int, ...]:
     """The lowest concept index with each zero pattern on `points`, collected in
     one pass over the concepts that stops once every pattern has appeared."""
-    need = 1 << len(points)
+    spread = [0]  # spread[t]: the mask of the points[k] with bit k of t set
+    for p in points:
+        spread += [s | 1 << p for s in spread]
+    on = spread[-1]
     first: dict[int, int] = {}
-    for i, c in enumerate(pcc.concepts):
-        pattern = _zero_pattern(c, points)
-        if pattern is not None:
-            first.setdefault(pattern, i)
-            if len(first) == need:
-                return tuple(first[mask] for mask in range(need))
+    for i, (zero, one) in enumerate(pcc.masks):
+        if (zero | one) & on == on:
+            first.setdefault(zero & on, i)
+            if len(first) == len(spread):
+                return tuple(map(first.__getitem__, spread))
     raise AssertionError("shattered set lost a witness; search is inconsistent")
 
 
@@ -295,10 +283,10 @@ def restriction_count(pcc: PartialConceptClass, points: tuple[int, ...]) -> int:
     for p in pts:
         if not (0 <= p < pcc.universe_size):
             raise ValueError(f"point {p} outside universe of size {pcc.universe_size}")
-    traces: set[tuple[int, ...]] = set()
-    for i, c in enumerate(pcc.concepts):
-        values = tuple(c[p] for p in pts)
-        if any(v is None for v in values):
+    on = reduce(or_, [1 << p for p in pts])
+    ones = set()
+    for i, (zero, one) in enumerate(pcc.masks):
+        if (zero | one) & on != on:
             raise ValueError(f"concept {i} is undefined on a restriction point")
-        traces.add(values)  # type: ignore[arg-type]
-    return len(traces)
+        ones.add(one & on)
+    return len(ones)

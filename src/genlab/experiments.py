@@ -469,10 +469,10 @@ def _masked_exposure(
         raise ValueError(f"{len(weights)} weights for a universe of {pcc.universe_size}")
     draw = inverse_cdf(weights)
     masses = [
-        sum((w for w, v in zip(weights, concept) if v == 1), start=ZERO)
-        for concept in pcc.concepts
+        sum((w for p, w in enumerate(weights) if one >> p & 1), start=ZERO)
+        for _, one in pcc.masks
     ]
-    zero_sets = [sum(1 << p for p, v in enumerate(c) if v == 0) for c in pcc.concepts]
+    zero_sets = [zero for zero, _ in pcc.masks]
     order = sorted((ci for ci, m in enumerate(masses) if m > 0), key=lambda ci: -masses[ci])
 
     @cache

@@ -249,7 +249,10 @@ def error_table_from_dict(obj: dict[str, Any]) -> ErrorTable:
 
 def _read_json(path: Path | str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def load_domain(path: Path | str) -> LabeledDistribution:

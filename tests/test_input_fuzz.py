@@ -2,7 +2,8 @@
 
 Each mutant of a valid class, family, domain, meta, certificate or experiment
 config must either run (exit 0, or 1 for an invalid certificate) or be refused
-with exit 2 and exactly one `error:` line; none may raise.
+with exit 2 and exactly one `error:` line; none may raise. One more mutant per
+kind nests lists deeper than `json.load` can recurse.
 """
 import copy
 import json
@@ -17,6 +18,7 @@ MUTANTS = 30  # per file kind
 SWAPS = (None, True, False, 0.5, 2.0, "3", "1/0", [], {}, [[0]])
 SIZE_KEYS = ("trials", "n", "n_grid")
 DELETED = "<deleted>"
+DEEP = "[" * 200000
 
 CONFIGS = {
     "scaling": {
@@ -136,3 +138,6 @@ def test_mutants_run_or_are_refused(built, tmp_path, capsys, kind):
         # Only a config may still run: with a top-level key dropped or null,
         # which takes its default, or a numeric string where a rational goes.
         assert source is None and len(path) == 1 and value in (DELETED, None, "3"), context
+    mutant_path.write_text(DEEP)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {mutant_path}: JSON nested too deeply\n"

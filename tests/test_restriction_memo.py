@@ -381,8 +381,13 @@ class TestClassLoading:
             Hypothesis(labels)
 
     def test_hypothesis_accepts_bit_equal_labels(self):
-        assert Hypothesis((True, 0, 1.0)).labels == (True, 0, 1.0)
-        hc = HypothesisClass(3, (Hypothesis((True, 0, 1.0)), Hypothesis((0, F(1), 0))))
+        """Only int labels equal to 0 or 1 pass: a bool does, 1.0 and
+        Fraction(1) do not."""
+        for labels in ((True, 0, 1.0), (0, F(1), 0), (0.0,)):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                Hypothesis(labels)
+        assert Hypothesis((True, 0, 1)).labels == (True, 0, 1)
+        hc = HypothesisClass(3, (Hypothesis((True, 0, 1)), Hypothesis((0, True, 0))))
         assert hc.masks == (0x010001, 0x000100)
         d = LabeledDistribution(3, (Atom(0, 0, F(1, 4)), Atom(1, 1, F(1, 4)), Atom(2, 1, F(1, 2))))
         m = ErrorMatrix(hc, [d])

@@ -10,8 +10,7 @@ import genlab
 from genlab import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# importing genlab.__main__ runs the CLI
-MODULES = [m.name for m in pkgutil.iter_modules(genlab.__path__) if m.name != "__main__"]
+MODULES = [m.name for m in pkgutil.iter_modules(genlab.__path__)]
 
 
 def genlab_bindings():
