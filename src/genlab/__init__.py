@@ -7,216 +7,124 @@ dimension for domain families via partial concept classes; constructs hard
 families (parity-anchored, threshold-sliced, flipped extensions); and runs
 seeded, replayable experiments on top of all of it.
 """
-from .core import (
-    Atom,
-    CertificateError,
-    ConfigError,
-    ConstructionError,
-    DomainFamily,
-    GenlabError,
-    Hypothesis,
-    HypothesisClass,
-    LabeledDistribution,
-    LabeledSample,
-    MetaDistribution,
-    Rational,
-    SpaceMismatchError,
-    domain_error,
-    domain_risk,
-    empirical_error,
-    flip_labels,
-    mix,
-    optimal_tau,
-)
-from .dimensions import (
-    DimensionQuery,
-    GdimResult,
-    PartialConceptClass,
-    ShatteringCertificate,
-    VcResult,
-    gdim,
-    induce_partial_class,
-    partial_vc_dim,
-    restriction_count,
-    verify_certificate,
-)
-from .learner import (
-    ErrorTable,
-    TrainingSet,
-    draw_domain_indices,
-    estimate_errors,
-    exact_error_table,
-    minmax_erm,
-    pooled_erm,
-    sample_size_for,
-    sample_training_set,
-    uniform_weights,
-)
-from .constructions import (
-    BASE_RATE,
-    LargeKFamily,
-    LowerBoundFamily,
-    ThresholdSlice,
-    adversarial_meta,
-    large_k_family,
-    largest_k_for,
-    lower_bound_family,
-    odd_even_domain,
-    product_family,
-    slot_for_subset_mask,
-    subset_mask_for_slot,
-    unanimous_point_mass,
-)
-from .divergence import (
-    Cover,
-    DivergenceQuery,
-    EmptyQualifyingSetWarning,
-    cover_bound_check,
-    cover_is_valid,
-    greedy_cover,
-    h_divergence,
-    smooth_family,
-)
-from .experiments import (
-    ExperimentReport,
-    LowerBoundConfig,
-    ScalingConfig,
-    TrialRow,
-    UniformConvergenceConfig,
-    exposure_trial,
-    run_lower_bound,
-    run_scaling,
-    run_uniform_convergence,
-)
-from .serialize import (
-    FormatError,
-    certificate_from_dict,
-    certificate_to_dict,
-    cover_from_dict,
-    cover_to_dict,
-    domain_from_dict,
-    domain_to_dict,
-    error_table_from_dict,
-    error_table_to_dict,
-    family_from_dict,
-    family_to_dict,
-    hypothesis_class_from_dict,
-    hypothesis_class_to_dict,
-    load_certificate,
-    load_domain,
-    load_family,
-    load_hypothesis_class,
-    load_meta,
-    meta_from_dict,
-    meta_to_dict,
-    rational_from_str,
-    rational_to_str,
-    training_set_from_dict,
-    training_set_to_dict,
-    write_json_atomic,
-    write_text_atomic,
-)
-from .seeding import DEFAULT_SEED, derive_seed, rng_for
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "BASE_RATE",
-    "CertificateError",
-    "ConfigError",
-    "ConstructionError",
-    "Cover",
-    "DEFAULT_SEED",
-    "DimensionQuery",
-    "DivergenceQuery",
-    "DomainFamily",
-    "EmptyQualifyingSetWarning",
-    "ErrorTable",
-    "ExperimentReport",
-    "FormatError",
-    "GdimResult",
-    "GenlabError",
-    "Hypothesis",
-    "HypothesisClass",
-    "LabeledDistribution",
-    "LabeledSample",
-    "LargeKFamily",
-    "LowerBoundConfig",
-    "LowerBoundFamily",
-    "MetaDistribution",
-    "PartialConceptClass",
-    "Rational",
-    "ScalingConfig",
-    "ShatteringCertificate",
-    "SpaceMismatchError",
-    "ThresholdSlice",
-    "TrainingSet",
-    "TrialRow",
-    "UniformConvergenceConfig",
-    "VcResult",
-    "adversarial_meta",
-    "certificate_from_dict",
-    "certificate_to_dict",
-    "cover_bound_check",
-    "cover_from_dict",
-    "cover_is_valid",
-    "cover_to_dict",
-    "derive_seed",
-    "domain_error",
-    "domain_from_dict",
-    "domain_risk",
-    "domain_to_dict",
-    "draw_domain_indices",
-    "empirical_error",
-    "error_table_from_dict",
-    "error_table_to_dict",
-    "estimate_errors",
-    "exact_error_table",
-    "exposure_trial",
-    "family_from_dict",
-    "family_to_dict",
-    "flip_labels",
-    "gdim",
-    "greedy_cover",
-    "h_divergence",
-    "hypothesis_class_from_dict",
-    "hypothesis_class_to_dict",
-    "induce_partial_class",
-    "large_k_family",
-    "largest_k_for",
-    "load_certificate",
-    "load_domain",
-    "load_family",
-    "load_hypothesis_class",
-    "load_meta",
-    "lower_bound_family",
-    "meta_from_dict",
-    "meta_to_dict",
-    "minmax_erm",
-    "mix",
-    "odd_even_domain",
-    "optimal_tau",
-    "partial_vc_dim",
-    "pooled_erm",
-    "product_family",
-    "rational_from_str",
-    "rational_to_str",
-    "restriction_count",
-    "rng_for",
-    "run_lower_bound",
-    "run_scaling",
-    "run_uniform_convergence",
-    "sample_size_for",
-    "sample_training_set",
-    "slot_for_subset_mask",
-    "smooth_family",
-    "subset_mask_for_slot",
-    "training_set_from_dict",
-    "training_set_to_dict",
-    "unanimous_point_mass",
-    "uniform_weights",
-    "verify_certificate",
-    "write_json_atomic",
-    "write_text_atomic",
-]
+# Each public name and the submodule that defines it. A name is looked up in
+# its submodule on every access (PEP 562), so `import genlab` loads no
+# submodule and `genlab.X` is always the object `genlab.<module>.X` holds.
+_EXPORTS = {
+    "Atom": "core",
+    "CertificateError": "core",
+    "ConfigError": "core",
+    "ConstructionError": "core",
+    "DomainFamily": "core",
+    "GenlabError": "core",
+    "Hypothesis": "core",
+    "HypothesisClass": "core",
+    "LabeledDistribution": "core",
+    "LabeledSample": "core",
+    "MetaDistribution": "core",
+    "Rational": "core",
+    "SpaceMismatchError": "core",
+    "domain_error": "core",
+    "domain_risk": "core",
+    "empirical_error": "core",
+    "flip_labels": "core",
+    "mix": "core",
+    "optimal_tau": "core",
+    "DimensionQuery": "dimensions",
+    "GdimResult": "dimensions",
+    "PartialConceptClass": "dimensions",
+    "ShatteringCertificate": "dimensions",
+    "VcResult": "dimensions",
+    "gdim": "dimensions",
+    "induce_partial_class": "dimensions",
+    "partial_vc_dim": "dimensions",
+    "restriction_count": "dimensions",
+    "verify_certificate": "dimensions",
+    "ErrorTable": "learner",
+    "TrainingSet": "learner",
+    "draw_domain_indices": "learner",
+    "estimate_errors": "learner",
+    "exact_error_table": "learner",
+    "minmax_erm": "learner",
+    "pooled_erm": "learner",
+    "sample_size_for": "learner",
+    "sample_training_set": "learner",
+    "uniform_weights": "learner",
+    "BASE_RATE": "constructions",
+    "LargeKFamily": "constructions",
+    "LowerBoundFamily": "constructions",
+    "ThresholdSlice": "constructions",
+    "adversarial_meta": "constructions",
+    "large_k_family": "constructions",
+    "largest_k_for": "constructions",
+    "lower_bound_family": "constructions",
+    "odd_even_domain": "constructions",
+    "product_family": "constructions",
+    "slot_for_subset_mask": "constructions",
+    "subset_mask_for_slot": "constructions",
+    "unanimous_point_mass": "constructions",
+    "Cover": "divergence",
+    "DivergenceQuery": "divergence",
+    "EmptyQualifyingSetWarning": "divergence",
+    "cover_bound_check": "divergence",
+    "cover_is_valid": "divergence",
+    "greedy_cover": "divergence",
+    "h_divergence": "divergence",
+    "smooth_family": "divergence",
+    "ExperimentReport": "experiments",
+    "LowerBoundConfig": "experiments",
+    "ScalingConfig": "experiments",
+    "TrialRow": "experiments",
+    "UniformConvergenceConfig": "experiments",
+    "exposure_trial": "experiments",
+    "run_lower_bound": "experiments",
+    "run_scaling": "experiments",
+    "run_uniform_convergence": "experiments",
+    "FormatError": "serialize",
+    "certificate_from_dict": "serialize",
+    "certificate_to_dict": "serialize",
+    "cover_from_dict": "serialize",
+    "cover_to_dict": "serialize",
+    "domain_from_dict": "serialize",
+    "domain_to_dict": "serialize",
+    "error_table_from_dict": "serialize",
+    "error_table_to_dict": "serialize",
+    "family_from_dict": "serialize",
+    "family_to_dict": "serialize",
+    "hypothesis_class_from_dict": "serialize",
+    "hypothesis_class_to_dict": "serialize",
+    "load_certificate": "serialize",
+    "load_domain": "serialize",
+    "load_family": "serialize",
+    "load_hypothesis_class": "serialize",
+    "load_meta": "serialize",
+    "meta_from_dict": "serialize",
+    "meta_to_dict": "serialize",
+    "rational_from_str": "serialize",
+    "rational_to_str": "serialize",
+    "training_set_from_dict": "serialize",
+    "training_set_to_dict": "serialize",
+    "write_json_atomic": "serialize",
+    "write_text_atomic": "serialize",
+    "DEFAULT_SEED": "seeding",
+    "derive_seed": "seeding",
+    "rng_for": "seeding",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -83,7 +83,10 @@ def _resolve_seed(cli_seed: int | None, config_seed: int | None = None) -> int:
         seed = config_seed
     else:
         env = os.environ.get("GENLAB_SEED")
-        seed = int(env) if env is not None else DEFAULT_SEED
+        try:
+            seed = int(env) if env is not None else DEFAULT_SEED
+        except ValueError:
+            raise ValueError(f"GENLAB_SEED must be a 64-bit unsigned integer, got {env!r}") from None
     if type(seed) is not int or not (0 <= seed < 1 << 64):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return seed
@@ -280,6 +283,8 @@ _EXPERIMENTS = {
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError(f"threads must be at least 1, got {args.threads}")
+    if args.float_digits < 0:
+        raise ValueError(f"float digits must be at least 0, got {args.float_digits}")
     raw = _read_json(args.config)
     name = args.experiment_name
     what = f"{name} config"

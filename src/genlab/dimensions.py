@@ -78,7 +78,7 @@ class DimensionQuery:
         alpha = Fraction(self.alpha)
         if not (0 <= alpha < tau <= 1):
             raise ValueError(f"need 0 <= alpha < tau <= 1, got alpha={alpha}, tau={tau}")
-        if self.size_cap is not None and self.size_cap < 1:
+        if self.size_cap is not None and (type(self.size_cap) is not int or self.size_cap < 1):
             raise ValueError("size cap must be a positive integer")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "alpha", alpha)
@@ -160,12 +160,12 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
         concepts, too few to extend that pattern to 2^(target - size) more.
     In preorder the first set that reaches a new size is the lexicographically
     first shattered set of that size, so `shattered` is the lex-first maximum
-    shattered set. The search stops at `size_cap` (default 20; below 1 is
-    refused): once a set of that size is found, the result is that set, the
-    lex-first of its size, with `dimension` equal to the cap and `exact` False,
-    a lower bound on the dimension.
+    shattered set. The search stops at `size_cap` (default 20; a cap that is
+    not an int of at least 1 is refused): once a set of that size is found,
+    the result is that set, the lex-first of its size, with `dimension` equal
+    to the cap and `exact` False, a lower bound on the dimension.
     """
-    if size_cap is not None and size_cap < 1:
+    if size_cap is not None and (type(size_cap) is not int or size_cap < 1):
         raise ValueError("size cap must be a positive integer")
     cap = DEFAULT_SEARCH_CAP if size_cap is None else size_cap
     best: tuple[int, ...] = ()

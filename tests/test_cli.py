@@ -316,13 +316,15 @@ class TestLearnCommand:
         assert "seed=77 " in out
 
     def test_bad_env_seed(self, built, capsys, monkeypatch):
-        monkeypatch.setenv("GENLAB_SEED", str(1 << 64))
-        code, _, err = run(
-            capsys, "learn", "--class", str(built / "class.json"),
-            "--meta", str(built / "meta.json"), "--n", "2", "--m", "2",
-        )
-        assert code == 2
-        assert "64-bit" in err
+        for value in (str(1 << 64), "abc"):
+            monkeypatch.setenv("GENLAB_SEED", value)
+            code, _, err = run(
+                capsys, "learn", "--class", str(built / "class.json"),
+                "--meta", str(built / "meta.json"), "--n", "2", "--m", "2",
+            )
+            assert code == 2
+            assert "64-bit" in err and value in err
+        assert "GENLAB_SEED" in err
 
 
 class TestDivergenceCommands:
@@ -515,6 +517,23 @@ class TestExperimentCommands:
             assert code == 2
             assert err.startswith("error:") and "threads" in err
             assert not out_dir.exists()
+
+    def test_negative_float_digits_refused_before_run(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        out_dir = tmp_path / "o"
+        code, _, err = run(
+            capsys, "experiment", "scaling", "--config", cfg,
+            "--out", str(out_dir), "--float-digits", "-1",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "float digits" in err
+        assert err.count("error:") == 1
+        assert not (out_dir / "report.json").exists()
+        code, _, _ = run(
+            capsys, "experiment", "scaling", "--config", cfg,
+            "--out", str(out_dir), "--float-digits", "0",
+        )
+        assert code == 0 and (out_dir / "report.csv").exists()
 
     def test_zero_tau_margin_reaches_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "lb.json", {

@@ -92,8 +92,9 @@ class TestDimensionQuery:
             DimensionQuery(F(11, 10), F(1, 10))
         with pytest.raises(ValueError):
             DimensionQuery(F(3, 10), F(-1, 10))
-        with pytest.raises(ValueError):
-            DimensionQuery(F(3, 10), F(1, 10), size_cap=0)
+        for cap in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="size cap"):
+                DimensionQuery(F(3, 10), F(1, 10), size_cap=cap)
 
 
 class TestInduce:
@@ -160,7 +161,7 @@ class TestPartialVcDim:
         assert capped.dimension == 2
         assert len(capped.shattered) == 2
         assert not capped.exact
-        for cap in (0, -3):
+        for cap in (0, -3, 2.5, True, "3"):
             with pytest.raises(ValueError, match="size cap"):
                 partial_vc_dim(cube, size_cap=cap)
 
