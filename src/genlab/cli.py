@@ -13,65 +13,21 @@ byte-identical regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import GenlabError, domain_error
-from .constructions import (
-    adversarial_meta,
-    large_k_family,
-    lower_bound_family,
-    odd_even_domain,
-    product_family,
-    unanimous_point_mass,
-)
-from .dimensions import DimensionQuery, PartialConceptClass, gdim, partial_vc_dim, verify_certificate
-from .divergence import DivergenceQuery, cover_is_valid, greedy_cover, h_divergence
-from .experiments import (
-    LowerBoundConfig,
-    ScalingConfig,
-    UniformConvergenceConfig,
-    run_lower_bound,
-    run_scaling,
-    run_uniform_convergence,
-)
-from .learner import (
-    estimate_errors,
-    minmax_erm,
-    pooled_erm,
-    sample_size_for,
-    sample_training_set,
-    uniform_weights,
-)
-from .seeding import DEFAULT_SEED
-from .serialize import (
-    _field,
-    _read_json,
-    certificate_to_dict,
-    cover_to_dict,
-    domain_to_dict,
-    error_table_to_dict,
-    family_to_dict,
-    hypothesis_class_to_dict,
-    load_certificate,
-    load_domain,
-    load_family,
-    load_hypothesis_class,
-    load_meta,
-    meta_to_dict,
-    rational_from_str,
-    rational_to_str,
-    training_set_to_dict,
-    write_json_atomic,
-    write_text_atomic,
-)
+import genlab
+
+from .core import GenlabError
+from .serialize import _field, _read_json
 
 
 def _rational(text: str) -> Fraction:
     try:
-        return rational_from_str(text)
+        return genlab.rational_from_str(text)
     except GenlabError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -84,7 +40,7 @@ def _resolve_seed(cli_seed: int | None, config_seed: int | None = None) -> int:
     else:
         env = os.environ.get("GENLAB_SEED")
         try:
-            seed = int(env) if env is not None else DEFAULT_SEED
+            seed = int(env) if env is not None else genlab.DEFAULT_SEED
         except ValueError:
             raise ValueError(f"GENLAB_SEED must be a 64-bit unsigned integer, got {env!r}") from None
     if type(seed) is not int or not (0 <= seed < 1 << 64):
@@ -103,65 +59,67 @@ def _exact_str(result_exact: bool) -> str:
 
 
 def cmd_gdim(args: argparse.Namespace) -> int:
-    hc = load_hypothesis_class(args.class_path)
-    g = load_family(args.domains)
-    query = DimensionQuery(args.tau, args.alpha, args.cap)
-    result = gdim(hc, g, query)
+    hc = genlab.load_hypothesis_class(args.class_path)
+    g = genlab.load_family(args.domains)
+    query = genlab.DimensionQuery(args.tau, args.alpha, args.cap)
+    result = genlab.gdim(hc, g, query)
     line = f"gdim={result.dimension} exact={_exact_str(result.exact)}"
     if args.cert_out:
-        write_json_atomic(args.cert_out, certificate_to_dict(result.certificate))
+        genlab.write_json_atomic(args.cert_out, genlab.certificate_to_dict(result.certificate))
         line += f" certificate={args.cert_out}"
     print(line)
     return 0
 
 
 def cmd_vcdim(args: argparse.Namespace) -> int:
-    hc = load_hypothesis_class(args.class_path)
-    pcc = PartialConceptClass.from_hypothesis_class(hc)
-    result = partial_vc_dim(pcc, args.cap)
+    hc = genlab.load_hypothesis_class(args.class_path)
+    pcc = genlab.PartialConceptClass.from_hypothesis_class(hc)
+    result = genlab.partial_vc_dim(pcc, args.cap)
     print(f"vcdim={result.dimension} exact={_exact_str(result.exact)}")
     return 0
 
 
 def cmd_verify_cert(args: argparse.Namespace) -> int:
-    hc = load_hypothesis_class(args.class_path)
-    g = load_family(args.domains)
-    cert = load_certificate(args.cert)
-    ok = verify_certificate(cert, hc, g, DimensionQuery(args.tau, args.alpha))
+    hc = genlab.load_hypothesis_class(args.class_path)
+    g = genlab.load_family(args.domains)
+    cert = genlab.load_certificate(args.cert)
+    ok = genlab.verify_certificate(cert, hc, g, genlab.DimensionQuery(args.tau, args.alpha))
     size = len(cert.domain_indices)
     if ok:
         print(f"certificate valid: {size} domains shattered at "
-              f"tau={rational_to_str(args.tau)} alpha={rational_to_str(args.alpha)}")
+              f"tau={genlab.rational_to_str(args.tau)} alpha={genlab.rational_to_str(args.alpha)}")
         return 0
-    print(f"certificate INVALID at tau={rational_to_str(args.tau)} "
-          f"alpha={rational_to_str(args.alpha)}")
+    print(f"certificate INVALID at tau={genlab.rational_to_str(args.tau)} "
+          f"alpha={genlab.rational_to_str(args.alpha)}")
     return 1
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    hc = load_hypothesis_class(args.class_path)
-    meta = load_meta(args.meta)
+    hc = genlab.load_hypothesis_class(args.class_path)
+    meta = genlab.load_meta(args.meta)
+    if meta.family.space != hc.space:
+        raise genlab.SpaceMismatchError(f"class space {hc.space} != meta space {meta.family.space}")
     seed = _resolve_seed(args.seed)
     if args.m is not None:
         m = args.m
     else:
         if args.epsilon is None:
             raise ValueError("provide either --m or --epsilon")
-        m = sample_size_for(args.epsilon, args.delta, args.n, len(hc))
-    ts = sample_training_set(meta, args.n, m, seed)
-    table = estimate_errors(hc, ts)
-    picked = minmax_erm(table)
-    pooled = pooled_erm(table, uniform_weights(args.n))
+        m = genlab.sample_size_for(args.epsilon, args.delta, args.n, len(hc))
+    ts = genlab.sample_training_set(meta, args.n, m, seed)
+    table = genlab.estimate_errors(hc, ts)
+    picked = genlab.minmax_erm(table)
+    pooled = genlab.pooled_erm(table, genlab.uniform_weights(args.n))
     max_train = max(table.entries[picked])
     line = (f"minmax={picked} pooled={pooled} n={args.n} m={m} seed={seed} "
-            f"max_train_err={rational_to_str(max_train)}")
+            f"max_train_err={genlab.rational_to_str(max_train)}")
     if args.out:
-        write_json_atomic(args.out, {
-            "training_set": training_set_to_dict(ts),
-            "error_table": error_table_to_dict(table),
+        genlab.write_json_atomic(args.out, {
+            "training_set": genlab.training_set_to_dict(ts),
+            "error_table": genlab.error_table_to_dict(table),
             "minmax_index": picked,
             "pooled_index": pooled,
-            "max_train_err": rational_to_str(max_train),
+            "max_train_err": genlab.rational_to_str(max_train),
         })
         line += f" out={args.out}"
     print(line)
@@ -169,48 +127,51 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_construct_odd_even(args: argparse.Namespace) -> int:
-    domain, slice_ = odd_even_domain(args.m)
+    domain, slice_ = genlab.odd_even_domain(args.m)
     out = _out_dir(args)
-    write_json_atomic(out / "domain.json", domain_to_dict(domain))
-    write_json_atomic(out / "class.json", hypothesis_class_to_dict(slice_.hypothesis_class))
+    genlab.write_json_atomic(out / "domain.json", genlab.domain_to_dict(domain))
+    genlab.write_json_atomic(out / "class.json",
+                             genlab.hypothesis_class_to_dict(slice_.hypothesis_class))
     members = slice_.hypothesis_class.members
-    errors = [domain_error(h, domain) for h in members[:2]]
-    line = f"m={args.m} space={slice_.space} odd_err={rational_to_str(errors[0])}"
+    errors = [genlab.domain_error(h, domain) for h in members[:2]]
+    line = f"m={args.m} space={slice_.space} odd_err={genlab.rational_to_str(errors[0])}"
     if len(errors) > 1:
-        line += f" even_err={rational_to_str(errors[1])}"
+        line += f" even_err={genlab.rational_to_str(errors[1])}"
     print(line + f" out={out}")
     return 0
 
 
 def cmd_construct_large_k(args: argparse.Namespace) -> int:
-    fam = large_k_family(args.alpha)
+    fam = genlab.large_k_family(args.alpha)
     out = _out_dir(args)
-    write_json_atomic(out / "class.json", hypothesis_class_to_dict(fam.slice.hypothesis_class))
-    write_json_atomic(out / "family.json", family_to_dict(fam.family))
-    write_json_atomic(out / "certificate.json", certificate_to_dict(fam.certificate()))
+    genlab.write_json_atomic(out / "class.json",
+                             genlab.hypothesis_class_to_dict(fam.slice.hypothesis_class))
+    genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(fam.family))
+    genlab.write_json_atomic(out / "certificate.json",
+                             genlab.certificate_to_dict(fam.certificate()))
     for j, domain in enumerate(fam.family.domains, start=1):
-        write_json_atomic(out / f"domain_{j}.json", domain_to_dict(domain))
+        genlab.write_json_atomic(out / f"domain_{j}.json", genlab.domain_to_dict(domain))
     print(f"k={fam.k} hypotheses={len(fam.slice.hypothesis_class)} "
           f"domains={len(fam.family)} out={out}")
     return 0
 
 
 def cmd_construct_product(args: argparse.Namespace) -> int:
-    base = large_k_family(args.alpha)
-    hc, family = product_family(base, args.d, cap=args.cap)
+    base = genlab.large_k_family(args.alpha)
+    hc, family = genlab.product_family(base, args.d, cap=args.cap)
     out = _out_dir(args)
-    write_json_atomic(out / "class.json", hypothesis_class_to_dict(hc))
-    write_json_atomic(out / "family.json", family_to_dict(family))
+    genlab.write_json_atomic(out / "class.json", genlab.hypothesis_class_to_dict(hc))
+    genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(family))
     print(f"k={base.k} d={args.d} hypotheses={len(hc)} domains={len(family)} out={out}")
     return 0
 
 
 def _build_lower_bound(args: argparse.Namespace):
-    base = large_k_family(args.alpha)
+    base = genlab.large_k_family(args.alpha)
     hc = base.slice.hypothesis_class
-    clean = unanimous_point_mass(hc)
+    clean = genlab.unanimous_point_mass(hc)
     lb_alpha = args.lb_alpha if args.lb_alpha is not None else args.alpha
-    lbf = lower_bound_family(
+    lbf = genlab.lower_bound_family(
         hc, base.family, clean, base.certificate(), args.tau, lb_alpha
     )
     return base, hc, lbf
@@ -219,11 +180,12 @@ def _build_lower_bound(args: argparse.Namespace):
 def cmd_construct_lower_bound(args: argparse.Namespace) -> int:
     base, hc, lbf = _build_lower_bound(args)
     out = _out_dir(args)
-    write_json_atomic(out / "class.json", hypothesis_class_to_dict(hc))
-    write_json_atomic(out / "family.json", family_to_dict(lbf.extended_family))
-    write_json_atomic(out / "certificate.json", certificate_to_dict(base.certificate()))
-    print(f"d={lbf.d} lambda={rational_to_str(lbf.mix_weight)} "
-          f"floor={rational_to_str(lbf.threshold_floor())} "
+    genlab.write_json_atomic(out / "class.json", genlab.hypothesis_class_to_dict(hc))
+    genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(lbf.extended_family))
+    genlab.write_json_atomic(out / "certificate.json",
+                             genlab.certificate_to_dict(base.certificate()))
+    print(f"d={lbf.d} lambda={genlab.rational_to_str(lbf.mix_weight)} "
+          f"floor={genlab.rational_to_str(lbf.threshold_floor())} "
           f"certificate_valid={_exact_str(lbf.certificate_valid)} out={out}")
     return 0
 
@@ -235,48 +197,48 @@ def cmd_construct_adversarial(args: argparse.Namespace) -> int:
             raise ValueError(f"--b must be {lbf.d} characters of 0/1, got {args.b!r}")
         bits = tuple(int(c) for c in args.b)
     else:
-        from .seeding import rng_for
-
-        rng = rng_for(_resolve_seed(args.seed), "b")
+        rng = genlab.rng_for(_resolve_seed(args.seed), "b")
         bits = tuple(rng.randrange(2) for _ in range(lbf.d))
-    meta = adversarial_meta(lbf, bits, args.gamma)
+    meta = genlab.adversarial_meta(lbf, bits, args.gamma)
     out = _out_dir(args)
-    write_json_atomic(out / "class.json", hypothesis_class_to_dict(hc))
-    write_json_atomic(out / "meta.json", meta_to_dict(meta))
-    print(f"d={lbf.d} gamma={rational_to_str(args.gamma)} "
+    genlab.write_json_atomic(out / "class.json", genlab.hypothesis_class_to_dict(hc))
+    genlab.write_json_atomic(out / "meta.json", genlab.meta_to_dict(meta))
+    print(f"d={lbf.d} gamma={genlab.rational_to_str(args.gamma)} "
           f"b={''.join(map(str, bits))} "
-          f"clean_weight={rational_to_str(meta.weights[0])} out={out}")
+          f"clean_weight={genlab.rational_to_str(meta.weights[0])} out={out}")
     return 0
 
 
 def cmd_divergence(args: argparse.Namespace) -> int:
-    hc = load_hypothesis_class(args.class_path)
-    d1 = load_domain(args.d1)
-    d2 = load_domain(args.d2)
-    value = h_divergence(hc, d1, d2, DivergenceQuery(args.tau))
+    hc = genlab.load_hypothesis_class(args.class_path)
+    d1 = genlab.load_domain(args.d1)
+    d2 = genlab.load_domain(args.d2)
+    value = genlab.h_divergence(hc, d1, d2, genlab.DivergenceQuery(args.tau))
     kind = "restricted" if args.tau is not None else "full"
-    print(f"divergence={rational_to_str(value)} kind={kind}")
+    print(f"divergence={genlab.rational_to_str(value)} kind={kind}")
     return 0
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    hc = load_hypothesis_class(args.class_path)
-    g = load_family(args.domains)
-    cover = greedy_cover(g, hc, args.radius, DivergenceQuery(args.tau))
-    valid = cover_is_valid(cover, g, hc)
+    hc = genlab.load_hypothesis_class(args.class_path)
+    g = genlab.load_family(args.domains)
+    cover = genlab.greedy_cover(g, hc, args.radius, genlab.DivergenceQuery(args.tau))
+    valid = genlab.cover_is_valid(cover, g, hc)
     line = (f"centers={len(cover.center_indices)} "
-            f"radius={rational_to_str(args.radius)} valid={_exact_str(valid)}")
+            f"radius={genlab.rational_to_str(args.radius)} valid={_exact_str(valid)}")
     if args.out:
-        write_json_atomic(args.out, cover_to_dict(cover))
+        genlab.write_json_atomic(args.out, genlab.cover_to_dict(cover))
         line += f" out={args.out}"
     print(line)
     return 0
 
 
+# Each experiment's config class and runner by name, looked up in genlab only
+# when the experiment runs, so other commands never import genlab.experiments.
 _EXPERIMENTS = {
-    "scaling": (ScalingConfig, run_scaling),
-    "uniform-convergence": (UniformConvergenceConfig, run_uniform_convergence),
-    "lower-bound": (LowerBoundConfig, run_lower_bound),
+    "scaling": ("ScalingConfig", "run_scaling"),
+    "uniform-convergence": ("UniformConvergenceConfig", "run_uniform_convergence"),
+    "lower-bound": ("LowerBoundConfig", "run_lower_bound"),
 }
 
 
@@ -292,15 +254,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if declared is not None and declared != name:
         raise ValueError(f"config declares experiment {declared!r}, command is {name!r}")
     raw["seed"] = _resolve_seed(args.seed, _field(raw, "seed", what, default=None))
-    config_cls, runner = _EXPERIMENTS[name]
+    config_cls, runner = (getattr(genlab, n) for n in _EXPERIMENTS[name])
     cfg = config_cls.from_dict(raw)
     report = runner(cfg)
     out = _out_dir(args)
     payload = report.to_json_dict()
-    payload["series"] = report.series()
-    write_json_atomic(out / "report.json", payload)
-    write_text_atomic(out / "report.csv", report.to_csv_text(args.float_digits))
-    write_json_atomic(out / "series.json", report.series())
+    payload["series"] = series = report.series()
+    genlab.write_json_atomic(out / "report.json", payload)
+    genlab.write_text_atomic(out / "report.csv", report.to_csv_text(args.float_digits))
+    genlab.write_json_atomic(out / "series.json", series)
     agg = report.aggregates
     if name == "scaling":
         head = f"slope={agg['slope']} inversions={agg['inversions']}"
@@ -318,6 +280,7 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_rational, required=True, help="margin, p/q")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genlab",
@@ -429,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GenlabError, ValueError, OSError) as exc:

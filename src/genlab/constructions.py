@@ -125,7 +125,6 @@ class LargeKFamily:
     slice: ThresholdSlice
     family: DomainFamily
     subsets: tuple[int, ...]
-    block_boundaries: tuple[tuple[int, ...], ...]
 
     def query(self, size_cap: int | None = None) -> DimensionQuery:
         return DimensionQuery(BASE_RATE, self.alpha, size_cap)
@@ -162,7 +161,6 @@ def large_k_family(alpha: Fraction) -> LargeKFamily:
     slice_ = ThresholdSlice.build(cutoff)
     subsets = tuple(subset_mask_for_slot(i, k) for i in range(1, cutoff + 1))
     domains = []
-    boundaries_per_domain = []
     for j in range(1, k + 1):
         bit = 1 << (j - 1)
         flags = [bool(mask & bit) for mask in subsets]
@@ -173,16 +171,11 @@ def large_k_family(alpha: Fraction) -> LargeKFamily:
             if flags[s] != flags[s - 1]:
                 boundaries.append(s)
         boundaries.append(cutoff)
-        points = tuple(boundaries)
-        blocks = len(points) - 1
-        if blocks % 2 == 0:
-            points = points + (cutoff + 1,)  # padding point labeled 1 by all
-        domains.append(_parity_anchored_domain(slice_.space, points))
-        boundaries_per_domain.append(tuple(boundaries))
+        if len(boundaries) % 2:  # an even number of blocks
+            boundaries.append(cutoff + 1)  # padding point labeled 1 by all
+        domains.append(_parity_anchored_domain(slice_.space, tuple(boundaries)))
     family = DomainFamily(slice_.space, tuple(domains))
-    return LargeKFamily(
-        alpha, k, cutoff, slice_, family, subsets, tuple(boundaries_per_domain)
-    )
+    return LargeKFamily(alpha, k, cutoff, slice_, family, subsets)
 
 
 def product_family(

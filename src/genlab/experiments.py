@@ -142,6 +142,12 @@ class ScalingConfig(_Config):
             raise ValueError("need at least one trial")
         if not (0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.tau is not None and not (0 <= self.tau <= 1):
+            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
+        if self.alpha is not None and self.alpha < 0:
+            raise ValueError(f"alpha must lie in [0, inf), got {self.alpha}")
+        if self.tau_margin < 0:
+            raise ValueError(f"tau_margin must lie in [0, inf), got {self.tau_margin}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +190,8 @@ class LowerBoundConfig(_Config):
             raise ValueError("need n >= 1 and at least one trial")
         if not (0 < self.gamma < Fraction(1, 8)):
             raise ValueError(f"gamma must lie in (0, 1/8), got {self.gamma}")
+        if self.tau_margin < 0:
+            raise ValueError(f"tau_margin must lie in [0, inf), got {self.tau_margin}")
 
 
 @dataclass(frozen=True)

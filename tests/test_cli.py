@@ -1,10 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import genlab
 from genlab import DEFAULT_SEED, load_certificate, load_domain, load_family, load_hypothesis_class, load_meta
-from genlab.cli import main
+from genlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -128,6 +134,18 @@ class TestDimensionCommands:
         )
         assert code == 0
         assert out.startswith("gdim=2 exact=false")
+
+    def test_consecutive_calls_share_no_state(self, built, capsys):
+        argv = ("gdim", "--class", str(built / "class.json"),
+                "--domains", str(built / "family.json"), "--tau", "3/10", "--alpha", "1/50")
+        code, out, _ = run(capsys, *argv, "--cap", "2")
+        assert (code, out) == (0, "gdim=2 exact=false\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "gdim=3 exact=true\n")
 
     def test_tampered_certificate_exits_one(self, built, capsys):
         cert = json.loads((built / "certificate.json").read_text())
@@ -326,6 +344,21 @@ class TestLearnCommand:
             assert "64-bit" in err and value in err
         assert "GENLAB_SEED" in err
 
+    @pytest.mark.parametrize("space", [3, 12])
+    def test_meta_on_another_space_refused(self, built, capsys, space):
+        domain = genlab.LabeledDistribution(space, ((space - 1, 1, F(1)),))
+        meta = genlab.MetaDistribution(genlab.DomainFamily(space, (domain,)), (F(1),))
+        genlab.write_json_atomic(built / "other.json", genlab.meta_to_dict(meta))
+        out_file = built / "learn.json"
+        code, out, err = run(
+            capsys, "learn", "--class", str(built / "class.json"),
+            "--meta", str(built / "other.json"), "--n", "3", "--m", "5",
+            "--seed", "1", "--out", str(out_file),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: class space 10 != meta space {space}\n"
+        assert not out_file.exists()
+
 
 class TestDivergenceCommands:
     @pytest.fixture()
@@ -360,6 +393,20 @@ class TestDivergenceCommands:
         assert code == 0
         assert out.startswith("centers=1 radius=1/2 valid=true")
         assert cover_out.exists()
+
+
+class TestEntryPoint:
+    def test_import_loads_no_experiments_or_constructions(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(genlab.__file__).parents[1])}
+        code = ("import sys, genlab.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('genlab.')))")
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout
+        assert "genlab.cli" in loaded
+        assert "genlab.experiments" not in loaded and "genlab.constructions" not in loaded
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestArgumentErrors:
@@ -576,3 +623,27 @@ class TestExperimentCommands:
             )
             assert code == 2, (key, base["experiment"])
             assert err.startswith("error:") and word in err
+
+    SCALING = {
+        "experiment": "scaling", "generator": "uniform-shattered",
+        "family_alpha": "1/50", "n_grid": [2], "trials": 2, "seed": 505,
+    }
+    LOWER_BOUND = {
+        "experiment": "lower-bound", "family_alpha": "1/50", "gamma": "1/20",
+        "n": 6, "trials": 2, "seed": 43,
+    }
+
+    @pytest.mark.parametrize("base, key, value", [
+        (SCALING, "tau", "3"), (SCALING, "tau", "-1/2"), (SCALING, "alpha", "-1/100"),
+        (SCALING, "tau_margin", "-1"), (LOWER_BOUND, "tau_margin", "-1"),
+    ], ids=["scaling-tau-3", "scaling-tau-neg", "scaling-alpha", "scaling-tau_margin",
+            "lower-bound-tau_margin"])
+    def test_out_of_range_thresholds_refused(self, tmp_path, capsys, base, key, value):
+        cfg = write_config(tmp_path / "cfg.json", {**base, key: value})
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "experiment", base["experiment"], "--config", cfg, "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} must lie in ") and err.count("\n") == 1
+        assert not (out_dir / "report.json").exists()
