@@ -18,12 +18,12 @@ from .core import (
     Atom,
     ConstructionError,
     DomainFamily,
+    ErrorMatrix,
     Hypothesis,
     HypothesisClass,
     LabeledDistribution,
     MetaDistribution,
     SpaceMismatchError,
-    domain_error,
     flip_labels,
     mix,
 )
@@ -299,9 +299,9 @@ def lower_bound_family(
         raise ValueError(f"need 0 <= alpha < tau <= 1/2, got alpha={alpha}, tau={tau}")
     if d0.space != g.space or hc.space != g.space:
         raise SpaceMismatchError("class, family, and clean domain must share a space")
-    for i, h in enumerate(hc.members):
-        if domain_error(h, d0) != 0:
-            raise ValueError(f"hypothesis {i} has nonzero error on the clean domain")
+    erring = [i for i, e in enumerate(ErrorMatrix(hc, (d0,)).columns[0]) if e]
+    if erring:
+        raise ValueError(f"hypothesis {erring[0]} has nonzero error on the clean domain")
     for j in cert.domain_indices:
         if not (0 <= j < len(g)):
             raise ValueError(f"certificate names domain {j}, family has {len(g)}")

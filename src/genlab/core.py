@@ -299,11 +299,11 @@ class ErrorMatrix:
     """Exact error of every hypothesis of a class on every domain of a list.
 
     Built once per (class, domain list); every reader of a class's exact
-    errors over a domain list goes through one. Single errors come from
-    `domain_error`, which shares no code with this class: `verify_certificate`
-    must not share code with the search it checks, and `domain_risk` and the
-    clean-domain check of `lower_bound_family` also call it. Column j holds
-    the errors on domain j as integer numerators over one common
+    errors over a domain list goes through one, the clean-domain check of
+    `lower_bound_family` included. Single errors come from `domain_error`,
+    which shares no code with this class: `verify_certificate` must not share
+    code with the search it checks, and `domain_risk` also calls it. Column j
+    holds the errors on domain j as integer numerators over one common
     `denominator`, the LCM of all atom-mass denominators, so comparisons,
     maxima and gaps run on ints and `Fraction`s appear only in return values.
     Row i is hypothesis i. Domain and sample columns come from

@@ -19,13 +19,13 @@ import csv
 import io
 import json
 import math
-import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, ClassVar, Sequence, TypeVar
+from itertools import islice, repeat
+from typing import Any, Callable, ClassVar, Iterator, Sequence, TypeVar
 
 from .constructions import (
     BASE_RATE,
@@ -48,13 +48,12 @@ from .dimensions import (
     partial_vc_dim,
 )
 from .learner import (
-    draw_atoms,
     draw_domain_indices,
     inverse_cdf,
     sample_size_for,
     uniform_weights,
 )
-from .seeding import derive_seed, derive_seeds, rng_for
+from .seeding import derive_seed, derive_seeds, rng_for, streams
 from .serialize import _field, _int, _typed, rational_from_str, rational_to_str
 
 SCALING_GENERATORS = ("adversarial-meta", "uniform-shattered", "point-mass")
@@ -328,9 +327,10 @@ def _learn(
     if points is None:
         hat, max_train = matrix.minmax(columns[i] for i in indices)
     else:
+        uniforms = streams(derive_seeds(train_seed, "points", count=n))
         samples = {
-            matrix.mistakes(c, draw_atoms(picks[c], points, train_seed, i))
-            for i, c in enumerate(columns[j] for j in indices)
+            matrix.mistakes(c, map(picks[c], islice(u, points)))
+            for c, u in zip((columns[j] for j in indices), uniforms)
         }
         hat, _ = argmin_max(samples)
         max_train = max(matrix.error(hat, columns[i]) for i in set(indices))
@@ -390,7 +390,7 @@ def run_scaling(cfg: ScalingConfig) -> ExperimentReport:
     epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
     if cfg.generator == "adversarial-meta":
         lbf, pool, matrix = _flipped_pool(cfg.family_alpha, BASE_RATE)
-        tau = cfg.tau if cfg.tau is not None else lbf.threshold_floor() - cfg.tau_margin
+        tau = cfg.tau if cfg.tau is not None else _threshold(lbf, cfg.tau_margin)
         # gamma falls as n grows, so a gamma out of range is out at the first n
         gammas = {n: _scaling_gamma(cfg, n) for n in cfg.n_grid}
         weights_at = {n: lbf.meta_weights(gamma) for n, gamma in gammas.items()}
@@ -455,6 +455,15 @@ def _scaling_gamma(cfg: ScalingConfig, n: int) -> Fraction:
     if not (0 < gamma < Fraction(1, 8)):
         raise ConfigError(f"gamma at n={n} is {gamma}, must lie in (0, 1/8)")
     return gamma
+
+
+def _threshold(lbf: LowerBoundFamily, margin: Fraction) -> Fraction:
+    """The flipped family's threshold floor less a margin, refused unless the
+    margin lies in [0, floor] so that the threshold is not negative."""
+    floor = lbf.threshold_floor()
+    if not (0 <= margin <= floor):
+        raise ConfigError(f"tau_margin must lie in [0, {floor}], got {margin}")
+    return floor - margin
 
 
 def _check_margin(
@@ -522,17 +531,13 @@ def run_uniform_convergence(cfg: UniformConvergenceConfig) -> ExperimentReport:
     universe = pcc.universe_size
     draw, exposure = _masked_exposure(pcc, (Fraction(1, universe),) * universe)
     full = (1 << universe) - 1
-    # One generator, reseeded per trial at C level: the state of random.Random(seed).
-    rng = random.Random()
-    reseed, uniform = super(random.Random, rng).seed, rng.random
 
-    def one(n: int, trial: int, seed: int) -> TrialRow:
-        # The generator serves this trial alone, and the row depends only on
-        # the set of drawn points, so draws after the set is full change nothing.
-        reseed(seed)
+    def one(n: int, trial: int, seed: int, uniforms: Iterator[float]) -> TrialRow:
+        # The row depends only on the set of drawn points, so draws after the
+        # set is full change nothing.
         mask = 0
-        for _ in range(n):
-            mask |= 1 << draw(uniform())
+        for u in islice(uniforms, n):
+            mask |= 1 << draw(u)
             if mask == full:
                 break
         exposed, exposed_idx = exposure(mask)
@@ -541,8 +546,10 @@ def run_uniform_convergence(cfg: UniformConvergenceConfig) -> ExperimentReport:
             {"distinct_points": mask.bit_count()},
         )
 
-    rows = [one(n, t, seed) for n in cfg.n_grid
-            for t, seed in enumerate(derive_seeds(cfg.seed, "uc", n, count=cfg.trials))]
+    rows = []
+    for n in cfg.n_grid:
+        seeds = derive_seeds(cfg.seed, "uc", n, count=cfg.trials)
+        rows += map(one, repeat(n), range(cfg.trials), seeds, streams(seeds))
     tallies = Counter((r.n, r.er_exact) for r in rows)
     log_inv_delta = math.log(1.0 / float(cfg.delta))
     frequencies = []
@@ -580,7 +587,7 @@ def run_lower_bound(cfg: LowerBoundConfig) -> ExperimentReport:
     the learner's risk at tau' = lam/(1+lam) - margin exceeds gamma, plus the
     failure rate on unseen flipped-family indices."""
     lbf, _, matrix = _flipped_pool(cfg.family_alpha, cfg.tau)
-    tau_prime = lbf.threshold_floor() - cfg.tau_margin
+    tau_prime = _threshold(lbf, cfg.tau_margin)
     weights = lbf.meta_weights(cfg.gamma)
 
     def one(trial: int) -> TrialRow:

@@ -8,7 +8,6 @@ weighted average instead.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, islice
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     ErrorMatrix,
@@ -30,7 +29,7 @@ from .core import (
     popcount_column,
     unit_weights,
 )
-from .seeding import derive_seeds, rng_for
+from .seeding import derive_seeds, streams
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,6 @@ def inverse_cdf(weights: Sequence[Fraction]) -> Callable[[float], int]:
 _domain_sampler = lru_cache(maxsize=64)(inverse_cdf)
 
 
-def draw_atoms(pick: Callable[[float], int], m: int, master_seed: int, draw: int) -> Iterator[int]:
-    """Atom index of each of the m points of sample `draw`, in order: one
-    uniform each from rng_for(master_seed, "points", draw) through `pick`."""
-    rng = rng_for(master_seed, "points", draw)
-    return map(pick, islice(iter(rng.random, None), m))  # random() is never None
-
-
 def draw_domain_indices(
     weights: Sequence[Fraction], n: int, master_seed: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -125,22 +117,13 @@ def draw_domain_indices(
     per-draw seeds used.
 
     Draw i is the first `random()` of `random.Random(derive_seed(master_seed,
-    "domain", i))`. One generator is reseeded per draw through the C-level
-    `seed` that `random.Random.seed` delegates an int to, so each draw sees
-    the same Mersenne Twister state as a fresh generator. The sampler is
-    memoized by weights.
+    "domain", i))`, taken from `streams`. The sampler is memoized by weights.
     """
     if n < 1:
         raise ValueError("need at least one domain draw")
     pick = _domain_sampler(tuple(weights))
     seeds = derive_seeds(master_seed, "domain", count=n)
-    rng = random.Random()
-    reseed, uniform = super(random.Random, rng).seed, rng.random
-    indices = []
-    for seed in seeds:
-        reseed(seed)
-        indices.append(pick(uniform()))
-    return tuple(indices), tuple(seeds)
+    return tuple(map(pick, map(next, streams(seeds)))), tuple(seeds)
 
 
 def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> TrainingSet:
@@ -154,9 +137,10 @@ def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> Train
     indices, seeds = draw_domain_indices(p.weights, n, seed)
     domains = p.family.domains
     picks = {j: inverse_cdf([a.mass for a in domains[j].atoms]) for j in set(indices)}
+    # sample i takes its m points from the stream of derive_seed(seed, "points", i)
     samples = tuple(
-        LabeledSample(tuple(domains[j].atoms[k][:2] for k in draw_atoms(picks[j], m, seed, i)))
-        for i, j in enumerate(indices)
+        LabeledSample(tuple(domains[j].atoms[k][:2] for k in map(picks[j], islice(u, m))))
+        for j, u in zip(indices, streams(derive_seeds(seed, "points", count=n)))
     )
     return TrainingSet(indices, samples, seed, seeds)
 

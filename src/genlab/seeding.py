@@ -1,12 +1,14 @@
-"""Stable seed derivation.
+"""Stable seed derivation and the seeded uniform streams.
 
 Per-draw seeds are sha256 digests of the master seed plus a path of string/int
-parts, so results never depend on draw order or worker scheduling.
+parts, so results never depend on draw order or worker scheduling. This is
+the only genlab module that touches `random`.
 """
 from __future__ import annotations
 
 import hashlib
 import random
+from typing import Iterable, Iterator
 
 DEFAULT_SEED = 1729
 
@@ -33,3 +35,15 @@ def derive_seeds(master: int, *parts: object, count: int) -> list[int]:
 
 def rng_for(master: int, *parts: object) -> random.Random:
     return random.Random(derive_seed(master, *parts))
+
+
+def streams(seeds: Iterable[int]) -> Iterator[Iterator[float]]:
+    """For each seed, the uniforms that successive `random.Random(seed).random()`
+    calls return. One generator is reseeded per seed at C level, where
+    `random.Random.seed` sends an int, so a stream is valid only until the
+    next one is taken: use each up before moving on."""
+    rng = random.Random()
+    reseed, uniform = super(random.Random, rng).seed, rng.random
+    for seed in seeds:
+        reseed(seed)
+        yield iter(uniform, None)  # random() never returns None

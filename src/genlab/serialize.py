@@ -17,8 +17,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
+import genlab
+
 from .core import (
     Atom,
+    CertificateError,
     DomainFamily,
     GenlabError,
     HypothesisClass,
@@ -27,9 +30,6 @@ from .core import (
     LabeledSample,
     MetaDistribution,
 )
-from .dimensions import ShatteringCertificate, CertificateError
-from .divergence import Cover, DivergenceQuery
-from .learner import ErrorTable, TrainingSet
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -164,14 +164,14 @@ def meta_from_dict(obj: dict[str, Any], base_dir: Path | None = None) -> MetaDis
     return MetaDistribution(DomainFamily(domains[0].space, domains), weights)
 
 
-def certificate_to_dict(cert: ShatteringCertificate) -> dict[str, Any]:
+def certificate_to_dict(cert: genlab.ShatteringCertificate) -> dict[str, Any]:
     return {
         "S": list(cert.domain_indices),
         "witnesses": {str(mask): w for mask, w in enumerate(cert.witnesses)},
     }
 
 
-def certificate_from_dict(obj: dict[str, Any]) -> ShatteringCertificate:
+def certificate_from_dict(obj: dict[str, Any]) -> genlab.ShatteringCertificate:
     """Witnesses are keyed by the decimal string of each subset bitmask, and
     indices and witnesses are JSON integers."""
     listed = _field(obj, "S", "certificate object", list)
@@ -182,12 +182,12 @@ def certificate_from_dict(obj: dict[str, Any]) -> ShatteringCertificate:
         raise CertificateError(
             f"certificate needs witnesses for all {size} subset bitmasks"
         )
-    return ShatteringCertificate(
+    return genlab.ShatteringCertificate(
         indices, tuple(_int(table[str(m)], "certificate witness") for m in range(size))
     )
 
 
-def cover_to_dict(cover: Cover) -> dict[str, Any]:
+def cover_to_dict(cover: genlab.Cover) -> dict[str, Any]:
     return {
         "centers": list(cover.center_indices),
         "radius": rational_to_str(cover.radius),
@@ -195,19 +195,19 @@ def cover_to_dict(cover: Cover) -> dict[str, Any]:
     }
 
 
-def cover_from_dict(obj: dict[str, Any]) -> Cover:
+def cover_from_dict(obj: dict[str, Any]) -> genlab.Cover:
     what = "cover object"
     centers = tuple(_int(c, "cover center") for c in _field(obj, "centers", what, list))
     radius = rational_from_str(_field(obj, "radius", what), "cover radius")
     tau = _field(obj, "tau", what)
-    query = DivergenceQuery(None if tau is None else rational_from_str(tau, "cover tau"))
+    query = genlab.DivergenceQuery(None if tau is None else rational_from_str(tau, "cover tau"))
     try:
-        return Cover(centers, radius, query)
+        return genlab.Cover(centers, radius, query)
     except ValueError as exc:
         raise FormatError(f"malformed cover object: {exc}") from exc
 
 
-def training_set_to_dict(t: TrainingSet) -> dict[str, Any]:
+def training_set_to_dict(t: genlab.TrainingSet) -> dict[str, Any]:
     return {
         "domain_indices": list(t.domain_indices),
         "samples": [[[x, y] for (x, y) in s.points] for s in t.samples],
@@ -216,14 +216,14 @@ def training_set_to_dict(t: TrainingSet) -> dict[str, Any]:
     }
 
 
-def training_set_from_dict(obj: dict[str, Any]) -> TrainingSet:
+def training_set_from_dict(obj: dict[str, Any]) -> genlab.TrainingSet:
     what = "training set object"
     rows = _field(obj, "samples", what, list)
     try:  # LabeledSample unpacks each point as an [x, y] pair of JSON integers
         samples = tuple(LabeledSample(tuple(points)) for points in rows)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed training set sample: {exc}") from exc
-    return TrainingSet(
+    return genlab.TrainingSet(
         tuple(_int(i, "domain index") for i in _field(obj, "domain_indices", what, list)),
         samples,
         _int(_field(obj, "master_seed", what), "master seed"),
@@ -231,20 +231,20 @@ def training_set_from_dict(obj: dict[str, Any]) -> TrainingSet:
     )
 
 
-def error_table_to_dict(t: ErrorTable) -> dict[str, Any]:
+def error_table_to_dict(t: genlab.ErrorTable) -> dict[str, Any]:
     return {
         "mode": t.mode,
         "entries": [[rational_to_str(v) for v in row] for row in t.entries],
     }
 
 
-def error_table_from_dict(obj: dict[str, Any]) -> ErrorTable:
+def error_table_from_dict(obj: dict[str, Any]) -> genlab.ErrorTable:
     what = "error table object"
     rows = tuple(
         tuple(rational_from_str(v, "error table entry") for v in _typed(r, list, "error table row"))
         for r in _field(obj, "entries", what, list)
     )
-    return ErrorTable(rows, _field(obj, "mode", what, str))
+    return genlab.ErrorTable(rows, _field(obj, "mode", what, str))
 
 
 def _read_json(path: Path | str) -> Any:
@@ -271,7 +271,7 @@ def load_meta(path: Path | str) -> MetaDistribution:
     return meta_from_dict(_read_json(path), Path(path).parent)
 
 
-def load_certificate(path: Path | str) -> ShatteringCertificate:
+def load_certificate(path: Path | str) -> genlab.ShatteringCertificate:
     return certificate_from_dict(_read_json(path))
 
 

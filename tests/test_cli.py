@@ -396,14 +396,26 @@ class TestDivergenceCommands:
 
 
 class TestEntryPoint:
-    def test_import_loads_no_experiments_or_constructions(self):
+    @staticmethod
+    def loaded_modules(code):
+        """The genlab modules a fresh interpreter holds after running `code`."""
         env = {**os.environ, "PYTHONPATH": str(Path(genlab.__file__).parents[1])}
-        code = ("import sys, genlab.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('genlab.')))")
-        loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                capture_output=True, text=True).stdout
-        assert "genlab.cli" in loaded
-        assert "genlab.experiments" not in loaded and "genlab.constructions" not in loaded
+        code += "; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'genlab'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.splitlines()[-1].split())
+
+    def test_import_loads_no_experiments_or_constructions(self):
+        loaded = self.loaded_modules("import sys, genlab.cli")
+        assert loaded == {"genlab", "genlab.cli", "genlab.core", "genlab.serialize"}
+
+    def test_gdim_loads_no_learner_divergence_or_seeding(self, tmp_path, capsys):
+        run(capsys, "construct", "large-k", "--alpha", "1/50", "--out-dir", str(tmp_path))
+        argv = ["gdim", "--class", str(tmp_path / "class.json"),
+                "--domains", str(tmp_path / "family.json"), "--tau", "3/10", "--alpha", "1/50"]
+        loaded = self.loaded_modules(f"import sys, genlab.cli; genlab.cli.main({argv!r})")
+        assert "genlab.dimensions" in loaded
+        assert not loaded & {"genlab.learner", "genlab.divergence", "genlab.seeding"}
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
@@ -596,6 +608,19 @@ class TestExperimentCommands:
         assert payload["config"]["tau_margin"] == "0/1"
         assert payload["aggregates"]["tau_prime"] == "2/7"  # the floor itself
 
+    def test_tau_margin_at_floor_reaches_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "lb.json", {
+            "experiment": "lower-bound", "family_alpha": "1/50", "gamma": "1/20",
+            "n": 3, "trials": 2, "seed": 5, "tau_margin": "2/7",
+        })
+        code, _, _ = run(
+            capsys, "experiment", "lower-bound", "--config", cfg,
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert payload["aggregates"]["tau_prime"] == "0/1"
+
     def test_zero_values_refused_cleanly(self, tmp_path, capsys):
         uc = {
             "experiment": "uniform-convergence", "family_alpha": "1/50",
@@ -636,8 +661,11 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("base, key, value", [
         (SCALING, "tau", "3"), (SCALING, "tau", "-1/2"), (SCALING, "alpha", "-1/100"),
         (SCALING, "tau_margin", "-1"), (LOWER_BOUND, "tau_margin", "-1"),
+        (LOWER_BOUND, "tau_margin", "1"),
+        ({**SCALING, "generator": "adversarial-meta"}, "tau_margin", "1"),
     ], ids=["scaling-tau-3", "scaling-tau-neg", "scaling-alpha", "scaling-tau_margin",
-            "lower-bound-tau_margin"])
+            "lower-bound-tau_margin", "lower-bound-tau_margin-above-floor",
+            "adversarial-tau_margin-above-floor"])
     def test_out_of_range_thresholds_refused(self, tmp_path, capsys, base, key, value):
         cfg = write_config(tmp_path / "cfg.json", {**base, key: value})
         out_dir = tmp_path / "o"

@@ -245,6 +245,17 @@ class TestLowerBoundFamily:
         with pytest.raises(ValueError, match="domain 1"):
             lower_bound_family(hc, fam, clean, bad_cert, BASE_RATE, F(1, 10))
 
+    def test_first_erring_hypothesis_named(self):
+        # the three first hypotheses label point 0 with 0; hypothesis 3 does not
+        hc = HypothesisClass(3, tuple(map(Hypothesis, (
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1), (1, 0, 0),
+        ))))
+        fam = DomainFamily(3, (LabeledDistribution(3, ((1, 1, F(1)),)),))
+        d0 = LabeledDistribution(3, ((0, 0, F(1)),))
+        cert = ShatteringCertificate((0,), (1, 0))
+        with pytest.raises(ValueError, match="^hypothesis 3 has nonzero error on the clean domain$"):
+            lower_bound_family(hc, fam, d0, cert, BASE_RATE, F(1, 10))
+
 
 class TestAdversarialMeta:
     def build(self, gamma=F(1, 20)):
