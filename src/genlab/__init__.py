@@ -60,6 +60,7 @@ _EXPORTS = {
     "ThresholdSlice": "constructions",
     "adversarial_meta": "constructions",
     "large_k_family": "constructions",
+    "large_k_lower_bound": "constructions",
     "largest_k_for": "constructions",
     "lower_bound_family": "constructions",
     "odd_even_domain": "constructions",

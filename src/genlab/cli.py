@@ -166,24 +166,14 @@ def cmd_construct_product(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_lower_bound(args: argparse.Namespace):
-    base = genlab.large_k_family(args.alpha)
-    hc = base.slice.hypothesis_class
-    clean = genlab.unanimous_point_mass(hc)
-    lb_alpha = args.lb_alpha if args.lb_alpha is not None else args.alpha
-    lbf = genlab.lower_bound_family(
-        hc, base.family, clean, base.certificate(), args.tau, lb_alpha
-    )
-    return base, hc, lbf
-
-
 def cmd_construct_lower_bound(args: argparse.Namespace) -> int:
-    base, hc, lbf = _build_lower_bound(args)
+    lbf = genlab.large_k_lower_bound(args.alpha, args.tau, args.lb_alpha)
     out = _out_dir(args)
-    genlab.write_json_atomic(out / "class.json", genlab.hypothesis_class_to_dict(hc))
+    genlab.write_json_atomic(out / "class.json",
+                             genlab.hypothesis_class_to_dict(lbf.hypothesis_class))
     genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(lbf.extended_family))
     genlab.write_json_atomic(out / "certificate.json",
-                             genlab.certificate_to_dict(base.certificate()))
+                             genlab.certificate_to_dict(lbf.certificate))
     print(f"d={lbf.d} lambda={genlab.rational_to_str(lbf.mix_weight)} "
           f"floor={genlab.rational_to_str(lbf.threshold_floor())} "
           f"certificate_valid={_exact_str(lbf.certificate_valid)} out={out}")
@@ -191,7 +181,7 @@ def cmd_construct_lower_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_construct_adversarial(args: argparse.Namespace) -> int:
-    base, hc, lbf = _build_lower_bound(args)
+    lbf = genlab.large_k_lower_bound(args.alpha, args.tau, args.lb_alpha)
     if args.b is not None:
         if len(args.b) != lbf.d or any(c not in "01" for c in args.b):
             raise ValueError(f"--b must be {lbf.d} characters of 0/1, got {args.b!r}")
@@ -201,7 +191,8 @@ def cmd_construct_adversarial(args: argparse.Namespace) -> int:
         bits = tuple(rng.randrange(2) for _ in range(lbf.d))
     meta = genlab.adversarial_meta(lbf, bits, args.gamma)
     out = _out_dir(args)
-    genlab.write_json_atomic(out / "class.json", genlab.hypothesis_class_to_dict(hc))
+    genlab.write_json_atomic(out / "class.json",
+                             genlab.hypothesis_class_to_dict(lbf.hypothesis_class))
     genlab.write_json_atomic(out / "meta.json", genlab.meta_to_dict(meta))
     print(f"d={lbf.d} gamma={genlab.rational_to_str(args.gamma)} "
           f"b={''.join(map(str, bits))} "

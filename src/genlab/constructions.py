@@ -267,6 +267,19 @@ class LowerBoundFamily:
     def flipped_index(self, t: int) -> int:
         return len(self.base_family) + 1 + t
 
+    def meta_indices(self, b: tuple[int, ...]) -> tuple[int, ...]:
+        """Extended-family indices of the domains an adversarial meta hiding
+        the bit vector b weighs, in `meta_weights` order: the clean domain,
+        then shattered domain t (b_t = 0) or its flipped mixture (b_t = 1)."""
+        if len(b) != self.d:
+            raise ValueError(f"bit vector has length {len(b)}, family has d={self.d}")
+        if any(bit not in (0, 1) for bit in b):
+            raise ValueError("bit vector entries must be 0 or 1")
+        return (self.clean_index,) + tuple(
+            self.flipped_index(t) if bit else j
+            for t, (j, bit) in enumerate(zip(self.shattered_indices, b))
+        )
+
     def threshold_floor(self) -> Fraction:
         """lam/(1+lam): below this, original and flipped error cannot both sit."""
         lam = self.mix_weight
@@ -315,20 +328,28 @@ def lower_bound_family(
     )
 
 
+def large_k_lower_bound(
+    alpha: Fraction, tau: Fraction, lb_alpha: Fraction | None = None
+) -> LowerBoundFamily:
+    """The flipped extension of `large_k_family(alpha)` at (tau, lb_alpha),
+    lb_alpha defaulting to alpha. The clean domain is the slice's unanimous
+    point mass and the certificate the family's own, which names all k
+    domains."""
+    base = large_k_family(alpha)
+    hc = base.slice.hypothesis_class
+    return lower_bound_family(
+        hc, base.family, unanimous_point_mass(hc), base.certificate(), tau,
+        alpha if lb_alpha is None else lb_alpha,
+    )
+
+
 def adversarial_meta(
     lbf: LowerBoundFamily, b: tuple[int, ...], gamma: Fraction
 ) -> MetaDistribution:
     """Meta-distribution hiding the bit vector b: weight 1-4*gamma on the clean
     domain and 4*gamma/d on D_i (b_i = 0) or its flipped mixture (b_i = 1)."""
-    d = lbf.d
-    if len(b) != d:
-        raise ValueError(f"bit vector has length {len(b)}, family has d={d}")
-    if any(bit not in (0, 1) for bit in b):
-        raise ValueError("bit vector entries must be 0 or 1")
+    indices = lbf.meta_indices(b)
     weights = lbf.meta_weights(gamma)
-    chosen = tuple(
-        lbf.flipped[t] if bit else lbf.base_family.domains[lbf.shattered_indices[t]]
-        for t, bit in enumerate(b)
-    )
-    family = DomainFamily(lbf.base_family.space, (lbf.clean_domain,) + chosen)
+    domains = lbf.extended_family.domains
+    family = DomainFamily(lbf.base_family.space, tuple(domains[i] for i in indices))
     return MetaDistribution(family, weights)

@@ -158,9 +158,10 @@ def smooth_family(
     """Domains sharing the labeling pstar whose marginals stay multiplicatively
     within [gamma, 1/gamma] of the reference marginal mu0.
 
-    Factors are drawn from a rational band [r, 1/r] with r >= sqrt(gamma), so
-    the renormalized ratios always satisfy the band; draws that would exit it
-    are rejected and retried as a guard.
+    Factors are drawn from a rational band [r, 1/r] with r >= sqrt(gamma). The
+    renormalizer is a mu0-weighted mean of the factors, so it lies in the same
+    band and every ratio lies in [r^2, 1/r^2], inside [gamma, 1/gamma]; each
+    domain is drawn once and the band is checked as a guard.
     """
     gamma = Fraction(gamma)
     if not (0 < gamma <= 1):
@@ -178,19 +179,14 @@ def smooth_family(
     domains = []
     for i in range(count):
         rng = rng_for(seed, "smooth", i)
-        for _ in range(1000):
-            factors = {
-                x: r + band_width * Fraction(rng.randrange(10**6 + 1), 10**6)
-                for x in support
-            }
-            z = sum((factors[x] * mu0[x] for x in support), start=ZERO)
-            masses = {x: factors[x] * mu0[x] / z for x in support}
-            if all(gamma <= masses[x] / mu0[x] <= inv_gamma for x in support):
-                break
-        else:
-            raise ConstructionError(
-                f"could not satisfy the ratio band for gamma={gamma}"
-            )
+        factors = {
+            x: r + band_width * Fraction(rng.randrange(10**6 + 1), 10**6)
+            for x in support
+        }
+        z = sum((factors[x] * mu0[x] for x in support), start=ZERO)
+        masses = {x: factors[x] * mu0[x] / z for x in support}
+        if not all(gamma <= masses[x] / mu0[x] <= inv_gamma for x in support):
+            raise ConstructionError(f"domain {i} leaves the ratio band for gamma={gamma}")
         atoms = tuple(Atom(x, pstar[x], masses[x]) for x in support)
         domains.append(LabeledDistribution(space, atoms))
     return DomainFamily(space, tuple(domains))

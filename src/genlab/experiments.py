@@ -31,13 +31,12 @@ from .constructions import (
     BASE_RATE,
     LowerBoundFamily,
     large_k_family,
-    lower_bound_family,
+    large_k_lower_bound,
     unanimous_point_mass,
 )
 from .core import (
     ConfigError,
     ErrorMatrix,
-    LabeledDistribution,
     ZERO,
     argmin_max,
 )
@@ -276,32 +275,14 @@ class ExperimentReport:
         return [{"x": r.trial, "y": float(r.er_exact)} for r in self.rows]
 
 
-def _flipped_pool(
-    family_alpha: Fraction, tau: Fraction
-) -> tuple[LowerBoundFamily, tuple[LabeledDistribution, ...], ErrorMatrix]:
-    """Flipped extension of a built family, its pool of domains (the clean
-    domain, the d shattered domains, then their d flipped mixtures) and the
-    pool's error matrix."""
-    base = large_k_family(family_alpha)
-    hc = base.slice.hypothesis_class
-    lbf = lower_bound_family(
-        hc, base.family, unanimous_point_mass(hc), base.certificate(), tau, family_alpha
-    )
-    pool = (lbf.clean_domain,) + tuple(
-        base.family.domains[j] for j in lbf.shattered_indices
-    ) + lbf.flipped
-    return lbf, pool, ErrorMatrix(hc, pool)
-
-
 def _hidden_bits(
-    seed: int, tag: str, n: int, trial: int, d: int
-) -> tuple[tuple[int, ...], list[int]]:
-    """A trial's hidden bit vector, and the pool column of each domain of its
-    meta in order: the clean domain, then domain t or its flipped mixture as
-    bit t says."""
+    lbf: LowerBoundFamily, seed: int, tag: str, n: int, trial: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A trial's hidden bit vector, and the extended-family column of each
+    domain of its meta, in `meta_weights` order."""
     rng = rng_for(seed, tag, n, trial, "b")
-    bits = tuple(rng.randrange(2) for _ in range(d))
-    return bits, [0] + [1 + t + (d if bit else 0) for t, bit in enumerate(bits)]
+    bits = tuple(rng.randrange(2) for _ in range(lbf.d))
+    return bits, lbf.meta_indices(bits)
 
 
 def _learn(
@@ -389,14 +370,16 @@ def run_scaling(cfg: ScalingConfig) -> ExperimentReport:
     alpha = cfg.alpha if cfg.alpha is not None else cfg.family_alpha / 2
     epsilon = cfg.epsilon if cfg.epsilon is not None else ZERO
     if cfg.generator == "adversarial-meta":
-        lbf, pool, matrix = _flipped_pool(cfg.family_alpha, BASE_RATE)
+        lbf = large_k_lower_bound(cfg.family_alpha, BASE_RATE)
+        pool = lbf.extended_family.domains
+        matrix = ErrorMatrix(lbf.hypothesis_class, pool)
         tau = cfg.tau if cfg.tau is not None else _threshold(lbf, cfg.tau_margin)
         # gamma falls as n grows, so a gamma out of range is out at the first n
         gammas = {n: _scaling_gamma(cfg, n) for n in cfg.n_grid}
         weights_at = {n: lbf.meta_weights(gamma) for n, gamma in gammas.items()}
 
         def meta(n: int, trial: int) -> tuple[Sequence[Fraction], Sequence[int], dict[str, Any]]:
-            bits, columns = _hidden_bits(cfg.seed, "scaling", n, trial, lbf.d)
+            bits, columns = _hidden_bits(lbf, cfg.seed, "scaling", n, trial)
             _check_margin(matrix.minmax(columns)[1], tau, alpha, epsilon)
             return weights_at[n], columns, {
                 "b": "".join(map(str, bits)), "gamma": rational_to_str(gammas[n]),
@@ -586,12 +569,13 @@ def run_lower_bound(cfg: LowerBoundConfig) -> ExperimentReport:
     """Hide a uniform bit vector behind flipped domains and measure how often
     the learner's risk at tau' = lam/(1+lam) - margin exceeds gamma, plus the
     failure rate on unseen flipped-family indices."""
-    lbf, _, matrix = _flipped_pool(cfg.family_alpha, cfg.tau)
+    lbf = large_k_lower_bound(cfg.family_alpha, cfg.tau)
+    matrix = ErrorMatrix(lbf.hypothesis_class, lbf.extended_family.domains)
     tau_prime = _threshold(lbf, cfg.tau_margin)
     weights = lbf.meta_weights(cfg.gamma)
 
     def one(trial: int) -> TrialRow:
-        bits, columns = _hidden_bits(cfg.seed, "lb", cfg.n, trial, lbf.d)
+        bits, columns = _hidden_bits(lbf, cfg.seed, "lb", cfg.n, trial)
         _, tau_star = matrix.minmax(columns)
         _check_margin(tau_star, cfg.tau, lbf.alpha, ZERO)
         train_seed = derive_seed(cfg.seed, "lb", cfg.n, trial, "train")

@@ -180,6 +180,9 @@ class TestDimensionCommands:
         ({"domains": "abc"}, "'domains' must be a JSON list"),
         ({"domains": [{"space": 10, "atoms": [{"x": 0, "y": 0, "mass": True}]}]},
          "atom mass expected a decimal-free rational"),
+        ({"domains": []}, "family object lists no domains"),
+        ({"domains": [{"space": 10, "atoms": [{"x": 0, "y": 2, "mass": "1"}]}]},
+         "atom label must be 0 or 1, got 2"),
     ])
     def test_malformed_family_refused(self, built, capsys, family, reason):
         bad = built / "bad_family.json"
@@ -358,6 +361,14 @@ class TestLearnCommand:
         assert (code, out) == (2, "")
         assert err == f"error: class space 10 != meta space {space}\n"
         assert not out_file.exists()
+
+    def test_meta_without_domains_refused(self, built, capsys):
+        (built / "empty.json").write_text(json.dumps({"domains": [], "weights": []}))
+        code, out, err = run(
+            capsys, "learn", "--class", str(built / "class.json"),
+            "--meta", str(built / "empty.json"), "--n", "3", "--m", "5", "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", "error: meta object lists no domains\n")
 
 
 class TestDivergenceCommands:

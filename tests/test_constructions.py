@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ from genlab import (
     HypothesisClass,
     LabeledDistribution,
     ShatteringCertificate,
+    SpaceMismatchError,
     ThresholdSlice,
     adversarial_meta,
     domain_error,
     gdim,
     large_k_family,
+    large_k_lower_bound,
     largest_k_for,
     lower_bound_family,
     odd_even_domain,
@@ -244,6 +247,11 @@ class TestLowerBoundFamily:
         bad_cert = ShatteringCertificate((1,), (1, 0))
         with pytest.raises(ValueError, match="domain 1"):
             lower_bound_family(hc, fam, clean, bad_cert, BASE_RATE, F(1, 10))
+        other = LabeledDistribution(hc.space + 1, ((0, 0, F(1)),))
+        with pytest.raises(
+            SpaceMismatchError, match="^class, family, and clean domain must share a space$"
+        ):
+            lower_bound_family(hc, fam, other, cert, BASE_RATE, F(1, 10))
 
     def test_first_erring_hypothesis_named(self):
         # the three first hypotheses label point 0 with 0; hypothesis 3 does not
@@ -287,10 +295,17 @@ class TestAdversarialMeta:
 
     def test_rejections(self):
         _, lbf = self.build()
-        with pytest.raises(ValueError):
-            adversarial_meta(lbf, (0, 1, 0), F(1, 20))
-        with pytest.raises(ValueError):
-            adversarial_meta(lbf, (0, 1, 0, 2), F(1, 20))
+        for b, message in (
+            ((0, 1, 0), "^bit vector has length 3, family has d=4$"),
+            ((0, 1, 0, 2), "^bit vector entries must be 0 or 1$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                lbf.meta_indices(b)
+            with pytest.raises(ValueError, match=message):
+                adversarial_meta(lbf, b, F(1, 20))
+            # the bits are checked before the weights
+            with pytest.raises(ValueError, match=message):
+                adversarial_meta(lbf, b, F(1, 8))
         with pytest.raises(ValueError):
             adversarial_meta(lbf, (0,) * 4, F(1, 8))
         with pytest.raises(ValueError):
@@ -306,3 +321,53 @@ class TestAdversarialMeta:
             p = adversarial_meta(lbf, b, F(1, 20))
             value, _ = optimal_tau(p, hc)
             assert value < BASE_RATE - lbf.alpha
+
+
+def reference_domains(lbf, b):
+    """The domains a meta hiding b weighs, picked straight from the family's
+    parts: the clean domain, then D_t or flipped[t] as b_t says."""
+    return (lbf.clean_domain,) + tuple(
+        lbf.flipped[t] if bit else lbf.base_family.domains[lbf.shattered_indices[t]]
+        for t, bit in enumerate(b)
+    )
+
+
+def recipe(alpha, tau, lb_alpha):
+    base = large_k_family(alpha)
+    hc = base.slice.hypothesis_class
+    return lower_bound_family(
+        hc, base.family, unanimous_point_mass(hc), base.certificate(), tau, lb_alpha
+    )
+
+
+class TestLargeKLowerBound:
+    @pytest.mark.parametrize("alpha", [F(1, 50), F(1, 100), F(1, 2000)])
+    def test_matches_the_recipe(self, alpha):
+        tau = F(3, 10)
+        lbf = large_k_lower_bound(alpha, tau)
+        assert lbf == recipe(alpha, tau, alpha)
+        assert large_k_lower_bound(alpha, tau, F(1, 40)) == recipe(alpha, tau, F(1, 40))
+        # the certificate names every domain, so the extension holds all of them
+        assert lbf.shattered_indices == tuple(range(len(lbf.base_family)))
+
+    def check(self, lbf, b):
+        indices = lbf.meta_indices(b)
+        want = reference_domains(lbf, b)
+        assert tuple(lbf.extended_family.domains[i] for i in indices) == want
+        assert indices[0] == lbf.clean_index
+        assert adversarial_meta(lbf, b, F(1, 20)).family.domains == want
+
+    def test_meta_indices_every_bit_vector(self):
+        lbf = large_k_lower_bound(F(1, 100), BASE_RATE)
+        assert lbf.d == 4
+        for b in itertools.product((0, 1), repeat=lbf.d):
+            self.check(lbf, b)
+
+    def test_meta_indices_seeded_bit_vectors(self):
+        lbf = large_k_lower_bound(F(1, 2000), BASE_RATE)
+        assert lbf.d == 8
+        rng = random.Random(2718)
+        vectors = [(0,) * 8, (1,) * 8]
+        vectors += [tuple(rng.randrange(2) for _ in range(8)) for _ in range(16)]
+        for b in vectors:
+            self.check(lbf, b)

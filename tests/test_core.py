@@ -307,3 +307,30 @@ class TestOptimalTau:
         # weights must sum to 1, so a support-free meta cannot be built
         with pytest.raises(ValueError):
             MetaDistribution(DomainFamily(1, ()), ())
+
+
+POINT2 = LabeledDistribution(2, (Atom(0, 0, F(1)),))
+POINT3 = LabeledDistribution(3, (Atom(0, 0, F(1)),))
+META2 = MetaDistribution(DomainFamily(2, (POINT2,)), (F(1),))
+
+
+class TestRefusalMessages:
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: DomainFamily(2, (POINT3,)), SpaceMismatchError,
+         "^domain 0 has space 3, family space is 2$"),
+        (lambda: DomainFamily(0, ()), ValueError,
+         "^instance space size must be a positive integer, got 0$"),
+        (lambda: LabeledSample(((0, 1), (-1, 0))), ValueError,
+         "^sample instances must be non-negative$"),
+        (lambda: LabeledSample(((0, 2),)), ValueError, "^sample labels must be 0 or 1$"),
+        (lambda: mix(POINT2, POINT3, F(1, 2)), SpaceMismatchError,
+         "^cannot mix spaces 2 and 3$"),
+        (lambda: domain_risk(META2, F(1, 2), Hypothesis((0, 0, 0))), SpaceMismatchError,
+         "^hypothesis space 3 != family space 2$"),
+        (lambda: optimal_tau(META2, HypothesisClass(3, (Hypothesis((0, 0, 0)),))),
+         SpaceMismatchError, "^class space 3 != family space 2$"),
+    ], ids=["family-space", "space-zero", "sample-negative-instance", "sample-label-2",
+            "mix-spaces", "risk-space", "optimal-tau-space"])
+    def test_message(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()

@@ -13,6 +13,7 @@ from genlab import (
     HypothesisClass,
     LabeledDistribution,
     PartialConceptClass,
+    SpaceMismatchError,
     ShatteringCertificate,
     ThresholdSlice,
     domain_error,
@@ -357,3 +358,22 @@ class TestRestrictionCount:
             restriction_count(pcc, (2,))
         with pytest.raises(ValueError):
             restriction_count(pcc, (1,))
+
+
+class TestRefusalMessages:
+    HC3 = HypothesisClass(3, (Hypothesis((0, 0, 0)),))
+    FAMILY2 = DomainFamily(2, (LabeledDistribution(2, (Atom(0, 0, Fraction(1)),)),))
+    QUERY = DimensionQuery(Fraction(3, 10), Fraction(1, 50))
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda q: PartialConceptClass(-1, ((),)), ValueError,
+         "^universe size must be non-negative$"),
+        (lambda q: induce_partial_class(q.HC3, q.FAMILY2, q.QUERY), SpaceMismatchError,
+         "^class space 3 != family space 2$"),
+        (lambda q: verify_certificate(
+            ShatteringCertificate((0,), (0, 0)), q.HC3, q.FAMILY2, q.QUERY),
+         SpaceMismatchError, "^class space 3 != family space 2$"),
+    ], ids=["universe-negative", "induce-space", "verify-space"])
+    def test_message(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build(self)

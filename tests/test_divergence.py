@@ -14,6 +14,7 @@ from genlab import (
     Hypothesis,
     HypothesisClass,
     LabeledDistribution,
+    SpaceMismatchError,
     cover_bound_check,
     cover_is_valid,
     domain_error,
@@ -282,3 +283,10 @@ class TestSmoothFamily:
         a = smooth_family(self.MU0, self.PSTAR, F(1, 2), 4, 7)
         b = smooth_family(self.MU0, self.PSTAR, F(1, 2), 4, 7)
         assert a == b
+
+
+def test_cover_space_mismatch_refused():
+    hc = HypothesisClass(3, (Hypothesis((0, 0, 0)),))
+    g = DomainFamily(2, (LabeledDistribution(2, (Atom(0, 0, F(1)),)),))
+    with pytest.raises(SpaceMismatchError, match="^class space 3 != family space 2$"):
+        greedy_cover(g, hc, F(1, 10))

@@ -88,6 +88,15 @@ class TestConfigs:
         with pytest.raises(ValueError):
             LowerBoundConfig(F(1, 50), F(0), 4, 5, 1)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: UniformConvergenceConfig(F(1, 50), (4, 8), 0, 1), "^need at least one trial$"),
+        (lambda: LowerBoundConfig(F(1, 50), F(1, 20), 0, 5, 1),
+         "^need n >= 1 and at least one trial$"),
+    ], ids=["uc-trials-zero", "lb-n-zero"])
+    def test_counts_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_zero_tau_margin_is_kept(self):
         for cls, cfg in ((ScalingConfig, SMALL_SCALING), (LowerBoundConfig, SMALL_LB)):
             obj = cfg.to_dict()

@@ -265,3 +265,17 @@ class TestSampleSize:
             sample_size_for(F(1, 10), F(1), 1, 1)
         with pytest.raises(ValueError):
             sample_size_for(F(1, 10), F(1, 10), 0, 1)
+
+
+class TestRefusalMessages:
+    HC = HypothesisClass(2, (Hypothesis((0, 1)),))
+    EMPTY = TrainingSet((0,), (LabeledSample(()),), 1, (2,))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda c: estimate_errors(c.HC, c.EMPTY),
+         "^empirical error over an empty sample is undefined$"),
+        (lambda c: uniform_weights(0), "^need at least one column$"),
+    ], ids=["estimate-empty-sample", "uniform-weights-zero"])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(self)

@@ -28,13 +28,13 @@ from genlab import (
     gdim,
     greedy_cover,
     large_k_family,
+    large_k_lower_bound,
     product_family,
     verify_certificate,
 )
 from genlab import dimensions
 from genlab.constructions import BASE_RATE
 from genlab.core import ErrorMatrix, popcount_column
-from genlab.experiments import _flipped_pool
 from genlab.serialize import hypothesis_class_from_dict
 
 from _builders import random_class, random_family
@@ -162,7 +162,9 @@ class TestErrorColumn:
         assert len(restrictions(hc, widest)) == len(hc)
         self.check(hc, g.domains)
         for family_alpha in (F(1, 100), F(1, 500), F(1, 2000)):
-            lbf, pool, m = _flipped_pool(family_alpha, BASE_RATE)
+            lbf = large_k_lower_bound(family_alpha, BASE_RATE)
+            pool = lbf.extended_family.domains
+            m = ErrorMatrix(lbf.hypothesis_class, pool)
             assert (m.denominator, m.columns) == frozen_columns(lbf.hypothesis_class, pool)
 
     def test_seeded_random_classes_lists_and_tuples(self):
