@@ -26,7 +26,6 @@ _EXPORTS = {
     "LabeledDistribution": "core",
     "LabeledSample": "core",
     "MetaDistribution": "core",
-    "Rational": "core",
     "SpaceMismatchError": "core",
     "domain_error": "core",
     "domain_risk": "core",

@@ -48,12 +48,6 @@ def _resolve_seed(cli_seed: int | None, config_seed: int | None = None) -> int:
     return seed
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _exact_str(result_exact: bool) -> str:
     return "true" if result_exact else "false"
 
@@ -100,11 +94,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if meta.family.space != hc.space:
         raise genlab.SpaceMismatchError(f"class space {hc.space} != meta space {meta.family.space}")
     seed = _resolve_seed(args.seed)
-    if args.m is not None:
-        m = args.m
-    else:
-        if args.epsilon is None:
-            raise ValueError("provide either --m or --epsilon")
+    if (args.m is None) == (args.epsilon is None):
+        raise ValueError("provide either --m or --epsilon" if args.m is None
+                         else "--m and --epsilon exclude each other")
+    m = args.m
+    if m is None:
         m = genlab.sample_size_for(args.epsilon, args.delta, args.n, len(hc))
     ts = genlab.sample_training_set(meta, args.n, m, seed)
     table = genlab.estimate_errors(hc, ts)
@@ -128,7 +122,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_construct_odd_even(args: argparse.Namespace) -> int:
     domain, slice_ = genlab.odd_even_domain(args.m)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     genlab.write_json_atomic(out / "domain.json", genlab.domain_to_dict(domain))
     genlab.write_json_atomic(out / "class.json",
                              genlab.hypothesis_class_to_dict(slice_.hypothesis_class))
@@ -143,7 +137,7 @@ def cmd_construct_odd_even(args: argparse.Namespace) -> int:
 
 def cmd_construct_large_k(args: argparse.Namespace) -> int:
     fam = genlab.large_k_family(args.alpha)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     genlab.write_json_atomic(out / "class.json",
                              genlab.hypothesis_class_to_dict(fam.slice.hypothesis_class))
     genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(fam.family))
@@ -159,7 +153,7 @@ def cmd_construct_large_k(args: argparse.Namespace) -> int:
 def cmd_construct_product(args: argparse.Namespace) -> int:
     base = genlab.large_k_family(args.alpha)
     hc, family = genlab.product_family(base, args.d, cap=args.cap)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     genlab.write_json_atomic(out / "class.json", genlab.hypothesis_class_to_dict(hc))
     genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(family))
     print(f"k={base.k} d={args.d} hypotheses={len(hc)} domains={len(family)} out={out}")
@@ -168,7 +162,7 @@ def cmd_construct_product(args: argparse.Namespace) -> int:
 
 def cmd_construct_lower_bound(args: argparse.Namespace) -> int:
     lbf = genlab.large_k_lower_bound(args.alpha, args.tau, args.lb_alpha)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     genlab.write_json_atomic(out / "class.json",
                              genlab.hypothesis_class_to_dict(lbf.hypothesis_class))
     genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(lbf.extended_family))
@@ -190,7 +184,7 @@ def cmd_construct_adversarial(args: argparse.Namespace) -> int:
         rng = genlab.rng_for(_resolve_seed(args.seed), "b")
         bits = tuple(rng.randrange(2) for _ in range(lbf.d))
     meta = genlab.adversarial_meta(lbf, bits, args.gamma)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     genlab.write_json_atomic(out / "class.json",
                              genlab.hypothesis_class_to_dict(lbf.hypothesis_class))
     genlab.write_json_atomic(out / "meta.json", genlab.meta_to_dict(meta))
@@ -248,7 +242,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config_cls, runner = (getattr(genlab, n) for n in _EXPERIMENTS[name])
     cfg = config_cls.from_dict(raw)
     report = runner(cfg)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     payload = report.to_json_dict()
     payload["series"] = series = report.series()
     genlab.write_json_atomic(out / "report.json", payload)

@@ -61,11 +61,9 @@ class ThresholdSlice:
 
 def _parity_anchored_domain(space: int, points: tuple[int, ...]) -> LabeledDistribution:
     """Half the mass on points[0] (labels 9:1 toward 0), the rest spread evenly
-    over points[1:], labeled by position parity. len(points) must be even, so
-    the number of parity points m' is odd."""
+    over points[1:], labeled by position parity. Both callers pass an even
+    len(points), so the number of parity points m' is odd."""
     m = len(points) - 1
-    if m < 1 or m % 2 == 0:
-        raise ConstructionError(f"need an odd number of parity points, got {m}")
     anchor = points[0]
     atoms = [
         Atom(anchor, 0, Fraction(1, 2) * (1 - ANCHOR_MINORITY)),
@@ -164,8 +162,6 @@ def large_k_family(alpha: Fraction) -> LargeKFamily:
     for j in range(1, k + 1):
         bit = 1 << (j - 1)
         flags = [bool(mask & bit) for mask in subsets]
-        if not flags[0]:
-            raise ConstructionError("first subset must contain every coordinate")
         boundaries = [0]
         for s in range(1, cutoff):
             if flags[s] != flags[s - 1]:

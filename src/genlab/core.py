@@ -9,12 +9,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
-from operator import sub
 from typing import Iterable, NamedTuple, Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 
@@ -98,6 +94,8 @@ class HypothesisClass:
 
     space: int
     members: tuple[Hypothesis, ...]
+    # each member's labels as one int whose byte x holds the label of point x
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_space(self.space)
@@ -109,18 +107,15 @@ class HypothesisClass:
                 raise SpaceMismatchError(
                     f"member {i} labels {h.space} instances, class space is {self.space}"
                 )
-        if len({h.labels for h in members}) != len(members):
+        # every row has `space` labels here, so distinct rows give distinct masks
+        masks = tuple(int.from_bytes(bytes(h.labels), "little") for h in members)
+        if len(set(masks)) != len(members):
             raise ValueError("hypothesis class members must be pairwise distinct labelings")
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Each member's labels as one int whose byte x holds the label of
-        point x."""
-        return tuple(int.from_bytes(bytes(h.labels), "little") for h in self.members)
 
 
 class Atom(NamedTuple):
@@ -354,11 +349,10 @@ class ErrorMatrix:
         """Largest error gap between domains j and k over the hypotheses whose
         smaller error of the two is at most tau (all of them when tau is None);
         None when no hypothesis qualifies."""
-        a, b = self.columns[j], self.columns[k]
-        if tau is None:
-            return Fraction(max(map(abs, map(sub, a, b))), self.denominator)
-        limit = math.floor(tau * self.denominator)
-        gaps = [abs(x - y) for x, y in zip(a, b) if x <= limit or y <= limit]
+        # every entry lies in [0, denominator], so that limit admits every row
+        limit = self.denominator if tau is None else math.floor(tau * self.denominator)
+        gaps = [abs(x - y) for x, y in zip(self.columns[j], self.columns[k])
+                if x <= limit or y <= limit]
         return Fraction(max(gaps), self.denominator) if gaps else None
 
 
@@ -420,8 +414,6 @@ def optimal_tau(p: MetaDistribution, hc: HypothesisClass) -> tuple[Fraction, int
             f"class space {hc.space} != family space {p.family.space}"
         )
     support = p.support()
-    if not support:
-        raise ValueError("meta-distribution has empty support")
     matrix = ErrorMatrix(hc, [p.family.domains[j] for j in support])
     best_idx, best = matrix.minmax(range(len(support)))
     return best, best_idx

@@ -155,9 +155,8 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
     With `target` one more than the largest size found so far, a node's subtree
     is pruned when
       - its size plus its extensions still to be tried is below `target`;
-      - fewer than 2^target concepts are defined on its set (Sauer-Shelah);
       - some zero pattern on its set comes from fewer than 2^(target - size)
-        concepts, too few to extend that pattern to 2^(target - size) more.
+        concepts, too few to extend it to 2^(target - size) more (Sauer-Shelah).
     In preorder the first set that reaches a new size is the lexicographically
     first shattered set of that size, so `shattered` is the lex-first maximum
     shattered set. The search stops at `size_cap` (default 20; a cap that is
@@ -181,7 +180,7 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
             if size == cap:
                 return True
         target = len(best) + 1
-        if sum(map(len, groups)) < 1 << target or min(map(len, groups)) < 1 << (target - size):
+        if min(map(len, groups)) < 1 << (target - size):
             return False
         # p extends the set iff every group has a concept 0 at p and one 1 at p
         rest = candidates
@@ -223,7 +222,7 @@ def gdim(hc: HypothesisClass, g: DomainFamily, q: DimensionQuery) -> GdimResult:
 
     Computed as the partial VC dimension of the induced partial class over g's
     domains; the two notions coincide by construction. `partial_vc_dim`
-    searches depth first in lexicographic preorder with its three prunes, and
+    searches depth first in lexicographic preorder with its two prunes, and
     the certificate covers the lex-first maximum shattered set of domains. At
     `q.size_cap` the dimension equals the cap, `exact` is False and the set is
     the lex-first shattered set of that size. Witnesses come from one pass over

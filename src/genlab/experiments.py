@@ -144,6 +144,8 @@ class ScalingConfig(_Config):
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
         if self.alpha is not None and self.alpha < 0:
             raise ValueError(f"alpha must lie in [0, inf), got {self.alpha}")
+        if self.gamma is not None and self.gamma_coefficient is not None:
+            raise ValueError("give gamma or gamma_coefficient, not both")
         if self.tau_margin < 0:
             raise ValueError(f"tau_margin must lie in [0, inf), got {self.tau_margin}")
 
@@ -428,13 +430,9 @@ def run_scaling(cfg: ScalingConfig) -> ExperimentReport:
 
 
 def _scaling_gamma(cfg: ScalingConfig, n: int) -> Fraction:
-    if cfg.gamma is not None:
-        gamma = cfg.gamma
-    else:
-        coeff = cfg.gamma_coefficient
-        if coeff is None:
-            coeff = Fraction(1, 2)
-        gamma = coeff / n
+    gamma, coeff = cfg.gamma, cfg.gamma_coefficient
+    if gamma is None:
+        gamma = (Fraction(1, 2) if coeff is None else coeff) / n
     if not (0 < gamma < Fraction(1, 8)):
         raise ConfigError(f"gamma at n={n} is {gamma}, must lie in (0, 1/8)")
     return gamma

@@ -101,6 +101,17 @@ class TestConstructCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_out_dir_naming_a_file_refused(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code, out, err = run(
+            capsys, "construct", "large-k", "--alpha", "1/50", "--out-dir", str(taken)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f"File exists: '{taken}'\n")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "keep"
+
 
 class TestDimensionCommands:
     @pytest.fixture()
@@ -316,6 +327,19 @@ class TestLearnCommand:
         assert code == 0
         assert " m=254 " in out  # ceil(log(2*8*1/0.1) / (2 * 0.01))
 
+    @pytest.mark.parametrize("flags, message", [
+        ((), "provide either --m or --epsilon"),
+        (("--m", "4", "--epsilon", "1/10"), "--m and --epsilon exclude each other"),
+    ], ids=["neither", "both"])
+    def test_m_and_epsilon_messages(self, built, capsys, flags, message):
+        out_file = built / "learn.json"
+        code, out, err = run(
+            capsys, "learn", "--class", str(built / "class.json"),
+            "--meta", str(built / "meta.json"), "--n", "2", *flags, "--out", str(out_file),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
     def test_requires_m_or_epsilon(self, built, capsys):
         code, _, err = run(
             capsys, "learn", "--class", str(built / "class.json"),
@@ -491,6 +515,13 @@ class TestExperimentCommands:
         assert code == 0
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["config"]["seed"] == 9
+
+    def test_out_naming_a_file_refused(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        code, out, err = run(capsys, "experiment", "scaling", "--config", cfg, "--out", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f"File exists: '{cfg}'\n")
+        assert err.count("\n") == 1
 
     def test_mismatched_subcommand_rejected(self, tmp_path, capsys):
         cfg = self.config(tmp_path)

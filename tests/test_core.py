@@ -60,6 +60,25 @@ class TestStructures:
         with pytest.raises(ValueError):
             HypothesisClass(2, ())
 
+    def test_class_masks_hold_one_byte_per_label(self):
+        rng = random.Random(52711)
+        for space in (1, 3, 9, 40):
+            hc = random_class(rng, space, 30)
+            assert hc.masks == tuple(
+                int.from_bytes(bytes(h.labels), "little") for h in hc.members
+            )
+
+    def test_class_masks_stay_out_of_equality_hash_and_repr(self):
+        hc = HypothesisClass(2, [Hypothesis((0, 1)), Hypothesis((1, 1))])
+        same = HypothesisClass(2, (Hypothesis((0, 1)), Hypothesis((1, 1))))
+        object.__setattr__(same, "masks", ())
+        assert hc == same and hash(hc) == hash(same)
+        assert hc != HypothesisClass(2, (Hypothesis((1, 1)), Hypothesis((0, 1))))
+        assert repr(hc) == (
+            "HypothesisClass(space=2, members=(Hypothesis(labels=(0, 1)), "
+            "Hypothesis(labels=(1, 1))))"
+        )
+
     def test_distribution_canonical_order(self):
         a = LabeledDistribution(3, (Atom(2, 1, F(1, 2)), Atom(0, 0, F(1, 2))))
         b = LabeledDistribution(3, (Atom(0, 0, F(1, 2)), Atom(2, 1, F(1, 2))))

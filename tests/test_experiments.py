@@ -11,6 +11,7 @@ import pytest
 
 from genlab import (
     ConfigError,
+    ExperimentReport,
     LowerBoundConfig,
     PartialConceptClass,
     ScalingConfig,
@@ -96,6 +97,14 @@ class TestConfigs:
     def test_counts_refused(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_gamma_and_coefficient_refused(self):
+        # one of them would be ignored: gamma used to win silently
+        both = {**SMALL_SCALING.to_dict(), "gamma": "1/20", "gamma_coefficient": "1/2"}
+        with pytest.raises(ValueError, match="^give gamma or gamma_coefficient, not both$"):
+            ScalingConfig.from_dict(both)
+        assert ScalingConfig.from_dict({**both, "gamma": None}).gamma_coefficient == F(1, 2)
+        assert ScalingConfig.from_dict({**both, "gamma_coefficient": None}).gamma == F(1, 20)
 
     def test_zero_tau_margin_is_kept(self):
         for cls, cfg in ((ScalingConfig, SMALL_SCALING), (LowerBoundConfig, SMALL_LB)):
@@ -412,6 +421,14 @@ class TestReportFormats:
         pts = lb.series()
         assert len(pts) == 40
         assert pts[0]["x"] == 0
+
+    def test_uc_series_without_a_calibrated_block(self):
+        frequencies = [{"C": 1, "per_n": [{"n": 4, "freq": 0.5}, {"n": 8, "freq": 0.25}]}]
+        uc = lambda c: ExperimentReport(
+            "uniform-convergence", {}, (), {"calibrated_c": c, "frequencies": frequencies}
+        )
+        assert uc(2).series() == []
+        assert uc(None).series() == [{"x": 4, "y": 0.5}, {"x": 8, "y": 0.25}]
 
     def test_uc_csv_has_empty_train_column(self):
         rep = run_uniform_convergence(SMALL_UC)
