@@ -1,8 +1,8 @@
-"""Report bytes of the scaling and lower-bound runners, pinned per config and
-seed: every scaling generator in exact and empirical mode, a fixed and a
-per-n gamma, and two lower-bound sizes. The trials-exact and trials-sampled
-configs are the benchmark's, and their default-seed digests equal the ones in
-perfbench/pins.json. Refused configs must print the same error line. Every
+"""Report bytes of all three runners, pinned per config and seed: every scaling
+generator in exact and empirical mode, a fixed and a per-n gamma, two
+lower-bound sizes and the uniform-convergence config. The trials-exact and
+trials-sampled configs are the benchmark's, and their default-seed digests
+equal the ones in perfbench/pins.json. Refused configs must print the same error line. Every
 file `construct` writes for the large-k, lower-bound, product and adversarial
 constructions is pinned too, and so is what `learn` writes and prints on the
 adversarial one."""
@@ -19,6 +19,8 @@ TRIALS_EXACT_LB = {"family_alpha": "1/2000", "gamma": "1/50", "n": 25, "trials":
 TRIALS_SAMPLED = {"generator": "uniform-shattered", "family_alpha": "1/50", "tau": "1/2",
                   "alpha": "1/100", "epsilon": "1/10", "n_grid": [8, 16, 32, 64],
                   "trials": 4}
+TRIALS_SAMPLED_UC = {"family_alpha": "1/100", "n_grid": [16, 32, 64, 128, 256],
+                     "c_grid": [1, 2, 4, 8], "trials": 200}
 POINT_MASS = {"generator": "point-mass", "family_alpha": "1/50", "n_grid": [4, 8, 16],
               "trials": 5}
 ADVERSARIAL = {"generator": "adversarial-meta", "family_alpha": "1/100"}
@@ -27,6 +29,7 @@ CONFIGS = {
     "trials-exact scaling": ("scaling", TRIALS_EXACT),
     "trials-exact lower-bound": ("lower-bound", TRIALS_EXACT_LB),
     "trials-sampled scaling": ("scaling", TRIALS_SAMPLED),
+    "trials-sampled uniform-convergence": ("uniform-convergence", TRIALS_SAMPLED_UC),
     "point-mass exact": ("scaling", POINT_MASS),
     "point-mass sampled": ("scaling", {**POINT_MASS, "epsilon": "1/10"}),
     "uniform-shattered exact": ("scaling", {
@@ -42,7 +45,8 @@ CONFIGS = {
 }
 
 # sha256 of (report.json, report.csv) per (config, seed), computed with the
-# three-runner design this one trial path replaced.
+# three-runner design this one trial path replaced; the uniform-convergence ones
+# with `json.dump` writing the whole report.
 PINS = {
     ("trials-exact scaling", 70001): (
         "cc86128c6e3018d2f4dbe7c281d6ea889624f57df57a90c873b6902fb34590cf",
@@ -62,6 +66,12 @@ PINS = {
     ("trials-sampled scaling", 104729): (
         "a03049df0e773a2f50016d494a499fc17e1972929765857eb3e8ab735dd7fa17",
         "a85a841f30138d10dd0f366c0f2b555bfbc4a50cbdd0a311d4be049baf6ae1d4"),
+    ("trials-sampled uniform-convergence", 90001): (
+        "ef01799942b78f18e067f11620a4560bf2d41200178b3db54a19e6c8f3a61034",
+        "6da9a411f7c61ead481b83cee6c7bbbd15d283e740819201ad85826ad80d93c0"),
+    ("trials-sampled uniform-convergence", 104729): (
+        "184f19cab6d94e207b054fb8670ebb77540da07bd954116edf8ecfa54c080585",
+        "67b7d680063779cbb602a6501694cfa4bef47f8d333db392cabffade0fe079ad"),
     ("point-mass exact", 11): (
         "97e4f39d1f2e0122fa94726b2baa119af5268b1644b418b0e3840d20144389ee",
         "8e628775fca28e4a598bd075336791c0c462da403d353747ece8065a92cb7420"),
