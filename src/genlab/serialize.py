@@ -108,7 +108,8 @@ def domain_from_dict(obj: dict[str, Any]) -> LabeledDistribution:
 
 
 def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
-    return {"space": hc.space, "hypotheses": [list(h.labels) for h in hc.members]}
+    """Labels are written as the ints 0 and 1, a bool label too, so the file reads back."""
+    return {"space": hc.space, "hypotheses": [list(bytes(h.labels)) for h in hc.members]}
 
 
 def _hypothesis(row: Any) -> Hypothesis:

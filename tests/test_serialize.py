@@ -10,6 +10,8 @@ from genlab import (
     Cover,
     DivergenceQuery,
     FormatError,
+    Hypothesis,
+    HypothesisClass,
     ShatteringCertificate,
     certificate_from_dict,
     certificate_to_dict,
@@ -82,6 +84,14 @@ class TestDictRoundTrips:
         for _ in range(20):
             hc = random_class(rng, rng.randint(1, 5), rng.randint(1, 8))
             assert hypothesis_class_from_dict(hypothesis_class_to_dict(hc)) == hc
+
+    def test_hypothesis_class_with_bool_labels(self):
+        """`Hypothesis` accepts a bool label; the file holds the int, so the
+        class genlab wrote reads back equal."""
+        hc = HypothesisClass(3, (Hypothesis((True, 0, 1)), Hypothesis((0, True, False))))
+        text = json.dumps(hypothesis_class_to_dict(hc))
+        assert text == '{"space": 3, "hypotheses": [[1, 0, 1], [0, 1, 0]]}'
+        assert hypothesis_class_from_dict(json.loads(text)) == hc
 
     def test_family_and_meta(self):
         rng = random.Random(41004)
