@@ -243,11 +243,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = config_cls.from_dict(raw)
     report = runner(cfg)
     out = Path(args.out_dir)
-    payload = report.to_json_dict()
-    payload["series"] = series = report.series()
-    genlab.write_json_atomic(out / "report.json", payload)
+    genlab.write_text_atomic(out / "report.json", report.to_json_text())
     genlab.write_text_atomic(out / "report.csv", report.to_csv_text(args.float_digits))
-    genlab.write_json_atomic(out / "series.json", series)
+    genlab.write_json_atomic(out / "series.json", report.series())
     agg = report.aggregates
     if name == "scaling":
         head = f"slope={agg['slope']} inversions={agg['inversions']}"

@@ -206,6 +206,38 @@ class TrialRow:
     extra: dict[str, Any]
 
 
+def _row_dict(r: TrialRow) -> dict[str, Any]:
+    return {
+        "experiment": r.experiment,
+        "n": r.n,
+        "trial": r.trial,
+        "seed": r.seed,
+        "hypothesis_index": r.hypothesis_index,
+        "er_exact": rational_to_str(r.er_exact),
+        "er_float": float(r.er_exact),
+        "max_train_err": None if r.max_train_err is None else rational_to_str(r.max_train_err),
+        "extra": r.extra,
+    }
+
+
+def _encoders(digits: int = 12) -> tuple[Callable[[Any], tuple[str, str, str]], Callable[[Any], str]]:
+    """The per-row encoders report.json and report.csv share: a mass as "p/q",
+    as its float to `digits` significant digits and as its float repr,
+    formatted once per distinct mass; and `extra` as compact key-sorted JSON."""
+    mass = cache(lambda q: (rational_to_str(q), format(float(q), f".{digits}g"),
+                            repr(float(q))))
+    return mass, json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# A row inside report.json's top-level "rows" list, as `json.dump(...,
+# indent=2, sort_keys=True)` writes it after "[" or ",": the nine keys in sorted order.
+_ROW_JSON = (
+    '\n    {\n      "er_exact": "%s",\n      "er_float": %s,\n      "experiment": %s,\n'
+    '      "extra": %s,\n      "hypothesis_index": %d,\n      "max_train_err": %s,\n'
+    '      "n": %d,\n      "seed": %d,\n      "trial": %d\n    }'
+)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     experiment: str
@@ -220,10 +252,7 @@ class ExperimentReport:
             ["experiment", "n", "trial", "seed", "hypothesis_index", "er_exact",
              "er_float", "max_train_err", "extra"]
         )
-        # a report repeats few distinct masses over many rows: format each once,
-        # behind one Fraction hash per lookup
-        mass = cache(lambda q: (rational_to_str(q), format(float(q), f".{float_digits}g")))
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        mass, encode = _encoders(float_digits)
         for r in self.rows:
             writer.writerow([
                 r.experiment,
@@ -231,7 +260,7 @@ class ExperimentReport:
                 r.trial,
                 r.seed,
                 r.hypothesis_index,
-                *mass(r.er_exact),
+                *mass(r.er_exact)[:2],
                 "" if r.max_train_err is None else mass(r.max_train_err)[0],
                 encode(r.extra),
             ])
@@ -242,24 +271,39 @@ class ExperimentReport:
             "experiment": self.experiment,
             "config": self.config,
             "aggregates": self.aggregates,
-            "rows": [
-                {
-                    "experiment": r.experiment,
-                    "n": r.n,
-                    "trial": r.trial,
-                    "seed": r.seed,
-                    "hypothesis_index": r.hypothesis_index,
-                    "er_exact": rational_to_str(r.er_exact),
-                    "er_float": float(r.er_exact),
-                    "max_train_err": (
-                        None if r.max_train_err is None
-                        else rational_to_str(r.max_train_err)
-                    ),
-                    "extra": r.extra,
-                }
-                for r in self.rows
-            ],
+            "rows": [_row_dict(r) for r in self.rows],
         }
+
+    def to_json_text(self) -> str:
+        """report.json: `to_json_dict()` plus "series" as `json.dump(..., indent=2,
+        sort_keys=True)` writes it, and a newline. Each row fills one template; a
+        row holding a value it cannot write exactly (a bool or other non-int where
+        an int goes, a non-Fraction mass, a non-str experiment) takes `json.dumps`."""
+        mass, encode = _encoders()
+        indented: dict[str, str] = {}  # compact `extra` -> its form inside a row
+        rows = []
+        for r in self.rows:
+            if not (type(r.n) is type(r.trial) is type(r.seed) is type(r.hypothesis_index) is int
+                    and type(r.experiment) is str and type(r.er_exact) is Fraction
+                    and (r.max_train_err is None or type(r.max_train_err) is Fraction)):
+                text = json.dumps(_row_dict(r), indent=2, sort_keys=True)
+                rows.append("\n    " + text.replace("\n", "\n    "))
+                continue
+            key = encode(r.extra)
+            if key not in indented:
+                text = json.dumps(r.extra, indent=2, sort_keys=True)
+                indented[key] = text.replace("\n", "\n      ")
+            er, _, er_float = mass(r.er_exact)
+            train = "null" if r.max_train_err is None else f'"{mass(r.max_train_err)[0]}"'
+            rows.append(_ROW_JSON % (er, er_float, encode(r.experiment), indented[key],
+                                     r.hypothesis_index, train, r.n, r.seed, r.trial))
+        payload = {"experiment": self.experiment, "config": self.config,
+                   "aggregates": self.aggregates, "rows": [], "series": self.series()}
+        # "rows" is a top-level key, the only one indented by two spaces (a JSON
+        # string holds no raw newline), so the split finds it exactly once
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split('\n  "rows": []')
+        rows = ",".join(rows)  # frees the row list before the whole text is built
+        return "".join((head, '\n  "rows": [', rows, "\n  ]" if rows else "]", tail, "\n"))
 
     def series(self) -> list[dict[str, float]]:
         """Plot-ready (x, y) pairs; semantics depend on the experiment."""

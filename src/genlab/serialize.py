@@ -299,8 +299,8 @@ def write_text_atomic(path: Path | str, text: str) -> None:
 
 
 def write_json_atomic(path: Path | str, obj: Any) -> None:
-    """Stream indented, key-sorted JSON and a final newline into place; one
-    `json.dumps` string of a large report would raise peak memory."""
+    """Stream indented, key-sorted JSON and a final newline into place (report.json
+    rows are rendered once from a template instead, by `ExperimentReport.to_json_text`)."""
     with _staged(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
