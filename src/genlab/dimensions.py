@@ -22,6 +22,7 @@ from .core import (
     HypothesisClass,
     SpaceMismatchError,
     domain_error,
+    exact_values,
 )
 
 DEFAULT_SEARCH_CAP = 20
@@ -67,15 +68,14 @@ class PartialConceptClass:
 
 @dataclass(frozen=True)
 class DimensionQuery:
-    """Thresholds for a shattering question: 0 <= alpha < tau <= 1."""
+    """Thresholds for a shattering question, ints or Fractions: 0 <= alpha < tau <= 1."""
 
     tau: Fraction
     alpha: Fraction
     size_cap: int | None = None
 
     def __post_init__(self) -> None:
-        tau = Fraction(self.tau)
-        alpha = Fraction(self.alpha)
+        tau, alpha = map(Fraction, exact_values((self.tau, self.alpha), "tau and alpha"))
         if not (0 <= alpha < tau <= 1):
             raise ValueError(f"need 0 <= alpha < tau <= 1, got alpha={alpha}, tau={tau}")
         if self.size_cap is not None and (type(self.size_cap) is not int or self.size_cap < 1):
@@ -159,10 +159,14 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
         concepts, too few to extend it to 2^(target - size) more (Sauer-Shelah).
     In preorder the first set that reaches a new size is the lexicographically
     first shattered set of that size, so `shattered` is the lex-first maximum
-    shattered set. The search stops at `size_cap` (default 20; a cap that is
-    not an int of at least 1 is refused): once a set of that size is found,
-    the result is that set, the lex-first of its size, with `dimension` equal
-    to the cap and `exact` False, a lower bound on the dimension.
+    shattered set. Only the first of each class of twins (points where every
+    concept takes the same value, None included) is searched: no shattered set
+    holds twins p < q, and if it holds q but not p, swapping q for p leaves it
+    shattered and lexicographically smaller. The search stops at `size_cap`
+    (default 20; a cap that is not an int of at least 1 is refused): once a
+    set of that size is found, the result is that set, the lex-first of its
+    size, with `dimension` equal to the cap and `exact` False, a lower bound
+    on the dimension.
     """
     if size_cap is not None and (type(size_cap) is not int or size_cap < 1):
         raise ValueError("size cap must be a positive integer")
@@ -197,7 +201,10 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
                 return True
         return False
 
-    capped = visit((), [list(set(pcc.masks))], (1 << pcc.universe_size) - 1)
+    first: dict[tuple[int | None, ...], int] = {}
+    for p, column in enumerate(zip(*pcc.concepts)):
+        first.setdefault(column, p)
+    capped = visit((), [list(set(pcc.masks))], sum(1 << p for p in first.values()))
     return VcResult(len(best), best, not capped)
 
 

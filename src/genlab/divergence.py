@@ -11,7 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import le
+from typing import Callable, Sequence
 
 from .core import (
     Atom,
@@ -22,6 +23,7 @@ from .core import (
     LabeledDistribution,
     SpaceMismatchError,
     ZERO,
+    exact_values,
     unit_weights,
 )
 from .dimensions import DimensionQuery, gdim
@@ -35,13 +37,13 @@ class EmptyQualifyingSetWarning(UserWarning):
 @dataclass(frozen=True)
 class DivergenceQuery:
     """tau=None compares over the whole class; otherwise only hypotheses with
-    min(error on d1, error on d2) <= tau enter the sup."""
+    min(error on d1, error on d2) <= tau, an int or a `Fraction`, enter the sup."""
 
     tau: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.tau is not None:
-            tau = Fraction(self.tau)
+            tau = Fraction(*exact_values((self.tau,), "divergence tau"))
             if not (0 <= tau <= 1):
                 raise ValueError(f"tau must lie in [0, 1], got {tau}")
             object.__setattr__(self, "tau", tau)
@@ -49,19 +51,22 @@ class DivergenceQuery:
 
 @dataclass(frozen=True)
 class Cover:
-    """Center indices into a family; every member sits within `radius` of one."""
+    """Int center indices into a family; every member sits within `radius` of one."""
 
     center_indices: tuple[int, ...]
     radius: Fraction
     query: DivergenceQuery
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.center_indices):
+        object.__setattr__(self, "center_indices", tuple(self.center_indices))
+        if any(type(c) is not int or c < 0 for c in self.center_indices):
             raise ValueError(
-                f"cover center indices must be non-negative, got {self.center_indices}"
+                f"cover center indices must be non-negative ints, got {self.center_indices}"
             )
-        if self.radius < 0:
-            raise ValueError(f"cover radius must be non-negative, got {self.radius}")
+        radius = Fraction(*exact_values((self.radius,), "cover radius"))
+        if radius < 0:
+            raise ValueError(f"cover radius must be non-negative, got {radius}")
+        object.__setattr__(self, "radius", radius)
 
 
 def h_divergence(
@@ -82,10 +87,20 @@ def h_divergence(
     return gap
 
 
-def _within(m: ErrorMatrix, j: int, c: int, radius: Fraction, q: DivergenceQuery) -> bool:
-    # no qualifying hypothesis means divergence 0, which every radius covers
-    gap = m.divergence(j, c, q.tau)
-    return gap is None or gap <= radius
+def _balls(m: ErrorMatrix, radius: Fraction, tau: Fraction | None) -> Callable:
+    """The integer test of `greedy_cover`: maps a column y of `m` to a test of
+    whether a column x lies within `radius` of it."""
+    den = m.denominator
+    r = math.floor(radius * den)  # every gap is an integer over den
+    limit = den if tau is None else math.floor(tau * den)
+
+    def ball(y: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
+        # a row with y > limit counts only when x <= limit, and then x < y + r
+        lo = [v - r if v <= limit else min(limit + 1, v - r) for v in y]
+        hi = [v + r if v <= limit else den for v in y]
+        return lambda x: all(map(le, lo, x)) and all(map(le, x, hi))
+
+    return ball
 
 
 def greedy_cover(
@@ -95,35 +110,47 @@ def greedy_cover(
     q: DivergenceQuery = DivergenceQuery(),
 ) -> Cover:
     """Repeatedly open the lowest-index uncovered domain as a center and mark
-    everything within `radius` of it covered, the center itself included."""
-    radius = Fraction(radius)
+    everything within `radius` (an int or a `Fraction`) of it covered, the
+    center itself included. Each opened center's column y gives integer row
+    bounds, and column x is covered iff lo <= x <= hi on every row: with den
+    the matrix denominator, r = floor(radius * den) and limit = floor(tau *
+    den) (den when tau is None), lo, hi = y - r, y + r on rows where y <=
+    limit, and min(limit + 1, y - r), den elsewhere. This is exact, as every
+    gap is an integer over den; a pair with no qualifying row is covered."""
+    radius = Fraction(*exact_values((radius,), "cover radius"))
     if radius < 0:
         raise ValueError("cover radius must be non-negative")
     if hc.space != g.space:
         raise SpaceMismatchError(f"class space {hc.space} != family space {g.space}")
     m = ErrorMatrix(hc, g.domains)
-    uncovered = set(range(len(g)))
+    ball = _balls(m, radius, q.tau)
+    uncovered = list(range(len(g)))
     centers = []
     while uncovered:
-        c = min(uncovered)
+        c = uncovered.pop(0)
         centers.append(c)
-        uncovered = {j for j in uncovered if j != c and not _within(m, j, c, radius, q)}
+        if uncovered:
+            near = ball(m.columns[c])
+            uncovered = [j for j in uncovered if not near(m.columns[j])]
     return Cover(tuple(centers), radius, q)
 
 
 def cover_is_valid(cover: Cover, g: DomainFamily, hc: HypothesisClass) -> bool:
     """Re-check that every domain lies within the radius of some center. A
     center covers itself: its divergence to itself is 0 (or no hypothesis
-    qualifies), within every radius, which `Cover` keeps non-negative."""
+    qualifies), within every radius, which `Cover` keeps non-negative. The
+    divergence is symmetric, so `greedy_cover`'s integer bounds are built once
+    per domain that is not a center, and the center columns tested on them."""
     for c in cover.center_indices:
         if not 0 <= c < len(g):
             raise ValueError(f"cover center index {c} out of range for {len(g)} domains")
     m = ErrorMatrix(hc, g.domains)
+    ball = _balls(m, cover.radius, cover.query.tau)
     centers = set(cover.center_indices)
+    center_columns = [m.columns[c] for c in cover.center_indices]
     return all(
-        j in centers
-        or any(_within(m, j, c, cover.radius, cover.query) for c in cover.center_indices)
-        for j in range(len(g))
+        j in centers or any(map(ball(column), center_columns))
+        for j, column in enumerate(m.columns)
     )
 
 
@@ -132,7 +159,7 @@ def cover_bound_check(
 ) -> tuple[int, int, bool]:
     """Shattering dimension vs. the size of a greedy alpha/2-cover under the
     tau-restricted divergence. Returns (dimension, cover size, dimension <= size)."""
-    q = DimensionQuery(Fraction(tau), Fraction(alpha))
+    q = DimensionQuery(tau, alpha)
     dim = gdim(hc, g, q).dimension
     cover = greedy_cover(g, hc, q.alpha / 2, DivergenceQuery(q.tau))
     size = len(cover.center_indices)

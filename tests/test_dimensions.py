@@ -97,6 +97,19 @@ class TestDimensionQuery:
             with pytest.raises(ValueError, match="size cap"):
                 DimensionQuery(F(3, 10), F(1, 10), size_cap=cap)
 
+    @pytest.mark.parametrize("tau, alpha, bad", [
+        (0.3, 0, 0.3), (F(3, 10), 0.1, 0.1), (True, 0, True), (1, False, False),
+        ("3/10", 0, "3/10"),
+    ])
+    def test_thresholds_must_be_exact(self, tau, alpha, bad):
+        message = f"^tau and alpha must be ints or Fractions, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            DimensionQuery(tau, alpha)
+
+    def test_integer_thresholds_kept_as_fractions(self):
+        q = DimensionQuery(1, 0)
+        assert (type(q.tau), type(q.alpha)) == (Fraction, Fraction)
+
 
 class TestInduce:
     def test_threshold_values(self):

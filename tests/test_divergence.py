@@ -187,6 +187,49 @@ class TestGreedyCover:
         assert cover_is_valid(cover, lkf.family, lkf.slice.hypothesis_class)
 
 
+class TestInexactInputsRefused:
+    """The covers compare integer bounds scaled from the radius and tau, so
+    both must be exact and center indices must be ints."""
+
+    FAM = DomainFamily(2, (two_point_domain(F(1, 5)), two_point_domain(F(4, 5))))
+    HC = HypothesisClass(2, (Hypothesis((0, 1)), Hypothesis((1, 1))))
+
+    @pytest.mark.parametrize("centers", [(1.0,), (True,), (0, "1")])
+    def test_cover_center_must_be_an_int(self, centers):
+        with pytest.raises(ValueError, match="^cover center indices must be non-negative ints"):
+            Cover(centers, F(0), DivergenceQuery())
+
+    @pytest.mark.parametrize("centers", [[0, 1], iter([0, 1]), range(2)])
+    def test_cover_holds_its_centers_as_a_tuple(self, centers):
+        cover = Cover(centers, F(0), DivergenceQuery())
+        assert cover == Cover((0, 1), F(0), DivergenceQuery())
+        assert cover.center_indices == (0, 1) and hash(cover) is not None
+        assert cover_is_valid(cover, self.FAM, self.HC)
+
+    @pytest.mark.parametrize("radius", [0.5, 0.1, True, "1/2"])
+    def test_radius_must_be_exact(self, radius):
+        message = f"^cover radius must be ints or Fractions, got {radius!r}$"
+        with pytest.raises(ValueError, match=message):
+            Cover((0,), radius, DivergenceQuery())
+        with pytest.raises(ValueError, match=message):
+            greedy_cover(self.FAM, self.HC, radius)
+
+    @pytest.mark.parametrize("radius", [0, 1, F(1, 3)])
+    def test_cover_keeps_its_radius_as_a_fraction(self, radius):
+        cover = Cover((0,), radius, DivergenceQuery())
+        assert type(cover.radius) is Fraction and cover.radius == radius
+        assert type(greedy_cover(self.FAM, self.HC, radius).radius) is Fraction
+
+    @pytest.mark.parametrize("tau", [0.3, True, "3/10"])
+    def test_divergence_tau_must_be_exact(self, tau):
+        message = f"^divergence tau must be ints or Fractions, got {tau!r}$"
+        with pytest.raises(ValueError, match=message):
+            DivergenceQuery(tau)
+
+    def test_integer_tau_kept_as_a_fraction(self):
+        assert type(DivergenceQuery(1).tau) is Fraction
+
+
 class TestCoverBound:
     def test_singleton(self):
         fam = DomainFamily(2, (two_point_domain(F(1, 5)),))
