@@ -22,7 +22,7 @@ from pathlib import Path
 import genlab
 
 from .core import GenlabError
-from .serialize import _field, _read_json
+from .serialize import _read_json, _typed
 
 
 def _rational(text: str) -> Fraction:
@@ -232,13 +232,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(f"threads must be at least 1, got {args.threads}")
     if args.float_digits < 0:
         raise ValueError(f"float digits must be at least 0, got {args.float_digits}")
-    raw = _read_json(args.config)
     name = args.experiment_name
-    what = f"{name} config"
-    declared = _field(raw, "experiment", what, default=None)
-    if declared is not None and declared != name:
-        raise ValueError(f"config declares experiment {declared!r}, command is {name!r}")
-    raw["seed"] = _resolve_seed(args.seed, _field(raw, "seed", what, default=None))
+    raw = _typed(_read_json(args.config), dict, f"{name} config")
+    raw["seed"] = _resolve_seed(args.seed, raw.get("seed"))
     config_cls, runner = (getattr(genlab, n) for n in _EXPERIMENTS[name])
     cfg = config_cls.from_dict(raw)
     report = runner(cfg)

@@ -24,6 +24,7 @@ from .core import (
     LabeledDistribution,
     MetaDistribution,
     SpaceMismatchError,
+    exact_values,
     flip_labels,
     mix,
 )
@@ -136,8 +137,8 @@ class LargeKFamily:
 
 
 def largest_k_for(alpha: Fraction) -> int:
-    """Largest k with 2**(k+2) + 4 < 1/alpha."""
-    alpha = Fraction(alpha)
+    """Largest k with 2**(k+2) + 4 < 1/alpha, for an int or Fraction alpha."""
+    alpha = Fraction(*exact_values((alpha,), "alpha"))
     if not (0 < alpha < Fraction(1, 12)):
         raise ValueError(f"alpha must lie in (0, 1/12), got {alpha}")
     k = 1
@@ -151,10 +152,10 @@ def large_k_family(alpha: Fraction) -> LargeKFamily:
 
     The margin of domain j is 1/(4m'_j) with m'_j <= 2^k + 1, and the choice of
     k makes 1/(4m'_j) > alpha strict, so all 2^k membership patterns are
-    realized with room to spare on both sides of 3/10.
+    realized with room to spare on both sides of 3/10. alpha is an int or a Fraction.
     """
-    alpha = Fraction(alpha)
     k = largest_k_for(alpha)
+    alpha = Fraction(alpha)
     cutoff = 1 << k
     slice_ = ThresholdSlice.build(cutoff)
     subsets = tuple(subset_mask_for_slot(i, k) for i in range(1, cutoff + 1))
@@ -283,8 +284,8 @@ class LowerBoundFamily:
 
     def meta_weights(self, gamma: Fraction) -> tuple[Fraction, ...]:
         """Weights of an adversarial meta: 1-4*gamma on the clean domain, then
-        4*gamma/d on each of the d domains the bit vector picks."""
-        gamma = Fraction(gamma)
+        4*gamma/d on each of the d domains the bit vector picks; gamma is an int or Fraction."""
+        gamma = Fraction(*exact_values((gamma,), "gamma"))
         if not (0 < gamma < Fraction(1, 8)):
             raise ValueError(f"gamma must lie in (0, 1/8), got {gamma}")
         return (1 - 4 * gamma,) + (4 * gamma / self.d,) * self.d
@@ -299,11 +300,10 @@ def lower_bound_family(
     alpha: Fraction,
 ) -> LowerBoundFamily:
     """Extend g with the clean domain d0 and flipped mixtures of the certified
-    domains. Requires 0 <= alpha < tau <= 1/2 and a d0 on which every
-    hypothesis has error exactly 0. Certificate validity at (tau, alpha) is
-    recorded, not enforced: `certificate_valid` checks it on first read."""
-    tau = Fraction(tau)
-    alpha = Fraction(alpha)
+    domains. Requires int or Fraction 0 <= alpha < tau <= 1/2 and a d0 on which
+    every hypothesis has error exactly 0. Certificate validity at (tau, alpha)
+    is recorded, not enforced: `certificate_valid` checks it on first read."""
+    tau, alpha = map(Fraction, exact_values((tau, alpha), "tau and alpha"))
     if not (0 <= alpha < tau <= Fraction(1, 2)):
         raise ValueError(f"need 0 <= alpha < tau <= 1/2, got alpha={alpha}, tau={tau}")
     if d0.space != g.space or hc.space != g.space:

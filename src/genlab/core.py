@@ -370,10 +370,10 @@ def flip_labels(d: LabeledDistribution) -> LabeledDistribution:
 
 
 def mix(d0: LabeledDistribution, d1: LabeledDistribution, lam: Fraction) -> LabeledDistribution:
-    """Convex combination (1-lam)*d0 + lam*d1 with atom merging."""
+    """Convex combination (1-lam)*d0 + lam*d1 with atom merging; lam is an int or Fraction."""
     if d0.space != d1.space:
         raise SpaceMismatchError(f"cannot mix spaces {d0.space} and {d1.space}")
-    lam = Fraction(lam)
+    lam = Fraction(*exact_values((lam,), "mixture weight"))
     if not (0 <= lam <= 1):
         raise ValueError(f"mixture weight must lie in [0, 1], got {lam}")
     # masses as integer numerators over q * den, with lam = p/q
@@ -390,12 +390,12 @@ def mix(d0: LabeledDistribution, d1: LabeledDistribution, lam: Fraction) -> Labe
 
 
 def domain_risk(p: MetaDistribution, tau: Fraction, h: Hypothesis) -> Fraction:
-    """Mass of domains on which h's error strictly exceeds tau."""
+    """Mass of domains on which h's error strictly exceeds tau (an int or Fraction)."""
     if h.space != p.family.space:
         raise SpaceMismatchError(
             f"hypothesis space {h.space} != family space {p.family.space}"
         )
-    tau = Fraction(tau)
+    tau = Fraction(*exact_values((tau,), "tau"))
     total = ZERO
     for w, d in zip(p.weights, p.family.domains):
         if w > 0 and domain_error(h, d) > tau:

@@ -188,9 +188,9 @@ def smooth_family(
     Factors are drawn from a rational band [r, 1/r] with r >= sqrt(gamma). The
     renormalizer is a mu0-weighted mean of the factors, so it lies in the same
     band and every ratio lies in [r^2, 1/r^2], inside [gamma, 1/gamma]; each
-    domain is drawn once and the band is checked as a guard.
+    domain is drawn once and the band is checked as a guard. gamma is an int or Fraction.
     """
-    gamma = Fraction(gamma)
+    gamma = Fraction(*exact_values((gamma,), "gamma"))
     if not (0 < gamma <= 1):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     if count < 1:

@@ -21,7 +21,7 @@ import json
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import islice, repeat
@@ -82,25 +82,26 @@ _C = TypeVar("_C", bound="_Config")
 
 
 class _Config:
-    """JSON form shared by the experiment configs: "experiment" plus one key
-    per dataclass field. A key that is absent or null takes the field's
-    default; a present value, zero included, is kept."""
+    """JSON form shared by the experiment configs: "experiment", refused unless
+    it names the class's own, plus one key per dataclass field. An optional key
+    that is absent or null takes its default; any other key is read as given."""
 
     experiment: ClassVar[str]
 
     @classmethod
     def from_dict(cls: type[_C], obj: dict[str, Any]) -> _C:
         what = f"{cls.experiment} config"
-        specs = fields(cls)
-        unknown = set(_typed(obj, dict, what)) - {f.name for f in specs} - {"experiment"}
+        declared = _typed(obj, dict, what).get("experiment")
+        if declared is not None and declared != cls.experiment:
+            raise ValueError(
+                f"config declares experiment {declared!r}, command is {cls.experiment!r}")
+        unknown = set(obj) - {f.name for f in fields(cls)} - {"experiment"}
         if unknown:
             raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-        values = {}
-        for f in specs:
-            value = _field(obj, f.name, what, default=f.default)
-            if value is not f.default:
-                values[f.name] = _PARSERS[f.type](value, f"{what} {f.name!r}")
-        return cls(**values)
+        return cls(**{
+            f.name: _PARSERS[f.type](_field(obj, f.name, what), f"{what} {f.name!r}")
+            for f in fields(cls) if f.default is MISSING or obj.get(f.name) is not None
+        })
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"experiment": self.experiment}

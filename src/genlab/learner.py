@@ -195,9 +195,8 @@ def uniform_weights(n: int) -> tuple[Fraction, ...]:
 def sample_size_for(epsilon: Fraction, delta: Fraction, n: int, class_size: int) -> int:
     """Per-domain sample size making every table entry epsilon-accurate with
     probability at least 1-delta (Hoeffding plus a union bound over all
-    class_size * n table entries)."""
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
+    class_size * n table entries). epsilon and delta are ints or Fractions."""
+    epsilon, delta = map(Fraction, exact_values((epsilon, delta), "epsilon and delta"))
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie in (0, 1)")
     if not (0 < delta < 1):

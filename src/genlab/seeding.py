@@ -13,8 +13,16 @@ from typing import Iterable, Iterator
 DEFAULT_SEED = 1729
 
 
+def _master(master: int) -> str:
+    """The master seed as text, refused unless it is exactly an `int`: `int()`
+    would read 2.5 as 2, True as 1 and "12" as 12."""
+    if type(master) is not int:
+        raise ValueError(f"master seed must be an int, got {master!r}")
+    return str(master)
+
+
 def derive_seed(master: int, *parts: object) -> int:
-    text = ":".join([str(int(master)), *(str(p) for p in parts)])
+    text = ":".join([_master(master), *(str(p) for p in parts)])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -23,7 +31,7 @@ def derive_seeds(master: int, *parts: object, count: int) -> list[int]:
     """derive_seed(master, *parts, i) for i in range(count). The text the seeds
     share, up to the colon before the index, is hashed once; each seed hashes
     only its index, on a copy of that state."""
-    prefix = ":".join([str(int(master)), *(str(p) for p in parts), ""])
+    prefix = ":".join([_master(master), *(str(p) for p in parts), ""])
     state = hashlib.sha256(prefix.encode("ascii"))
     seeds = []
     for i in range(count):

@@ -12,7 +12,6 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
-from dataclasses import MISSING
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, TextIO
@@ -46,17 +45,12 @@ def _typed(value: Any, kind: type, what: str) -> Any:
     return value
 
 
-def _field(obj: Any, key: str, what: str, kind: type = object, default: Any = MISSING) -> Any:
+def _field(obj: Any, key: str, what: str, kind: type = object) -> Any:
     """obj[key], refusing an `obj` that is not a JSON object, a missing key and
-    a value that is not a `kind`. With a `default`, an absent or null key reads
-    as the default."""
-    _typed(obj, dict, what)
-    value = obj.get(key)
-    if value is None and default is not MISSING:
-        return default
-    if key not in obj:
+    a value that is not a `kind`."""
+    if key not in _typed(obj, dict, what):
         raise FormatError(f"{what} needs a '{key}' field")
-    return value if kind is object else _typed(value, kind, f"{what} '{key}'")
+    return obj[key] if kind is object else _typed(obj[key], kind, f"{what} '{key}'")
 
 
 def _int(value: Any, what: str) -> int:
@@ -128,12 +122,17 @@ def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
         raise FormatError(f"malformed hypothesis class object: {exc}") from exc
 
 
-def _domains_from_entries(entries: list[Any], base_dir: Path | None) -> tuple[LabeledDistribution, ...]:
-    """Domain objects, or paths to domain files relative to `base_dir`."""
-    return tuple(
+def _family(obj: Any, what: str, base_dir: Path | None) -> DomainFamily:
+    """The family that `obj` (named `what`) lists under "domains": domain
+    objects, or paths to domain files relative to `base_dir`; an empty list is
+    refused."""
+    domains = tuple(
         domain_from_dict(_read_json(Path(base_dir or "") / e) if isinstance(e, str) else e)
-        for e in entries
+        for e in _field(obj, "domains", what, list)
     )
+    if not domains:
+        raise FormatError(f"{what} lists no domains")
+    return DomainFamily(domains[0].space, domains)
 
 
 def family_to_dict(g: DomainFamily) -> dict[str, Any]:
@@ -142,10 +141,7 @@ def family_to_dict(g: DomainFamily) -> dict[str, Any]:
 
 def family_from_dict(obj: dict[str, Any], base_dir: Path | None = None) -> DomainFamily:
     """Accepts both plain families and meta files (weights ignored)."""
-    domains = _domains_from_entries(_field(obj, "domains", "family object", list), base_dir)
-    if not domains:
-        raise FormatError("family object lists no domains")
-    return DomainFamily(domains[0].space, domains)
+    return _family(obj, "family object", base_dir)
 
 
 def meta_to_dict(p: MetaDistribution) -> dict[str, Any]:
@@ -156,13 +152,11 @@ def meta_to_dict(p: MetaDistribution) -> dict[str, Any]:
 
 
 def meta_from_dict(obj: dict[str, Any], base_dir: Path | None = None) -> MetaDistribution:
-    domains = _domains_from_entries(_field(obj, "domains", "meta object", list), base_dir)
+    family = _family(obj, "meta object", base_dir)
     weights = tuple(
         rational_from_str(w, "meta weight") for w in _field(obj, "weights", "meta object", list)
     )
-    if not domains:
-        raise FormatError("meta object lists no domains")
-    return MetaDistribution(DomainFamily(domains[0].space, domains), weights)
+    return MetaDistribution(family, weights)
 
 
 def certificate_to_dict(cert: genlab.ShatteringCertificate) -> dict[str, Any]:
