@@ -131,15 +131,6 @@ class TestDomainLists:
         with pytest.raises(ValueError, match=f"^{what} needs a 'domains' field$"):
             read({"weights": []})
 
-    @pytest.mark.parametrize("load, what", [
-        (load_family, "family object"), (load_meta, "meta object"),
-    ])
-    def test_empty_file_refused(self, tmp_path, load, what):
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"domains": [], "weights": []}))
-        with pytest.raises(ValueError, match=f"^{what} lists no domains$"):
-            load(path)
-
     def test_family_and_meta_files_read_paths_alike(self, tmp_path):
         (tmp_path / "sub").mkdir()
         (tmp_path / "sub" / "d.json").write_text(json.dumps(DOMAIN))
