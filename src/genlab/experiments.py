@@ -9,9 +9,10 @@ wrong where it has not looked.
 Every trial is reproducible from (config, master seed) alone: trial seeds are
 derived by stable hashing and error accounting is exact. Trials run one after
 another on the calling thread: they are pure-Python `Fraction` work, so worker
-threads would only contend for the interpreter lock. Configs are read from
-JSON by `serialize`'s readers, so their fields follow the data files' rules:
-integers are exact JSON integers and rationals are "p/q" strings.
+threads would only contend for the interpreter lock. A config follows the data
+files' rules however it is built, in Python or from JSON: integers are exact
+ints, rationals are exact (stored as `Fraction`s) and grids list strictly
+increasing positive ints.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .core import (
     ErrorMatrix,
     ZERO,
     argmin_max,
+    exact_values,
 )
 from .dimensions import (
     DimensionQuery,
@@ -58,23 +60,33 @@ from .serialize import _field, _int, _typed, rational_from_str, rational_to_str
 SCALING_GENERATORS = ("adversarial-meta", "uniform-shattered", "point-mass")
 
 
-def _check_grid(grid: Sequence[int], name: str = "n") -> tuple[int, ...]:
-    grid = tuple(grid)
-    if not grid or any(type(n) is not int or n < 1 for n in grid):
-        raise ValueError(f"{name} grid must list positive integers")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"{name} grid must be strictly increasing")
+def _grid(value: Any, what: str) -> tuple[int, ...]:
+    grid = tuple(value) if isinstance(value, (tuple, list)) else ()
+    if set(map(type, grid)) != {int} or grid[0] < 1 or grid != tuple(sorted(set(grid))):
+        raise ValueError(
+            f"{what}: grid must list positive integers, strictly increasing, got {value!r}")
     return grid
 
 
-# Config value readers, keyed by the field annotation; each takes the JSON
-# value and the name a refusal gives it.
-_PARSERS: dict[str, Callable[[Any, str], Any]] = {
-    "str": lambda value, name: _typed(value, str, name),
+# Config field checks by annotation: each takes the value and the name a
+# refusal gives it, and returns the value as the config stores it.
+_TYPES: dict[str, Callable[[Any, str], Any]] = {
+    "str": lambda value, what: _typed(value, str, what),
     "int": _int,
-    "tuple[int, ...]": lambda value, name: tuple(_int(v, name) for v in _typed(value, list, name)),
-    "Fraction": rational_from_str,
-    "Fraction | None": rational_from_str,
+    "tuple[int, ...]": _grid,
+    "Fraction": lambda q, what: Fraction(exact_values((q,), what)[0]),
+    "Fraction | None": lambda q, what: q if q is None else _TYPES["Fraction"](q, what),
+}
+
+# Config range rules by field name, skipped for a None: (holds, refusal).
+_RANGES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "generator": (SCALING_GENERATORS.__contains__, "unknown generator {!r}"),
+    "n": (lambda n: n >= 1, "need n >= 1 and at least one trial"),
+    "trials": (lambda trials: trials >= 1, "need at least one trial"),
+    "tau": (lambda tau: 0 <= tau <= 1, "tau must lie in [0, 1], got {}"),
+    "alpha": (lambda alpha: alpha >= 0, "alpha must lie in [0, inf), got {}"),
+    "delta": (lambda delta: 0 < delta < 1, "delta must lie in (0, 1), got {}"),
+    "tau_margin": (lambda margin: margin >= 0, "tau_margin must lie in [0, inf), got {}"),
 }
 
 
@@ -82,11 +94,20 @@ _C = TypeVar("_C", bound="_Config")
 
 
 class _Config:
-    """JSON form shared by the experiment configs: "experiment", refused unless
-    it names the class's own, plus one key per dataclass field. An optional key
-    that is absent or null takes its default; any other key is read as given."""
+    """Each field is checked by its annotation (`_TYPES`), then by its name
+    (`_RANGES`), however the config is built. The JSON form is "experiment",
+    refused unless it names the class's own, plus one key per field; an absent
+    or null optional key takes its default, and rationals are "p/q" strings."""
 
     experiment: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = _TYPES[f.type](getattr(self, f.name), f"{self.experiment} config {f.name!r}")
+            object.__setattr__(self, f.name, value)
+            holds, refusal = _RANGES.get(f.name, (None, ""))
+            if holds is not None and value is not None and not holds(value):
+                raise ValueError(refusal.format(value))
 
     @classmethod
     def from_dict(cls: type[_C], obj: dict[str, Any]) -> _C:
@@ -98,10 +119,15 @@ class _Config:
         unknown = set(obj) - {f.name for f in fields(cls)} - {"experiment"}
         if unknown:
             raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-        return cls(**{
-            f.name: _PARSERS[f.type](_field(obj, f.name, what), f"{what} {f.name!r}")
-            for f in fields(cls) if f.default is MISSING or obj.get(f.name) is not None
-        })
+
+        def read(f: Any) -> Any:  # a JSON value as the class takes it
+            value, where = _field(obj, f.name, what), f"{what} {f.name!r}"
+            if "Fraction" in f.type:
+                return rational_from_str(value, where)
+            return _typed(value, list, where) if f.type == "tuple[int, ...]" else value
+
+        return cls(**{f.name: read(f) for f in fields(cls)
+                      if f.default is MISSING or obj.get(f.name) is not None})
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"experiment": self.experiment}
@@ -134,21 +160,9 @@ class ScalingConfig(_Config):
     tau_margin: Fraction = Fraction(1, 1000)
 
     def __post_init__(self) -> None:
-        if self.generator not in SCALING_GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
-        object.__setattr__(self, "n_grid", _check_grid(self.n_grid))
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.tau is not None and not (0 <= self.tau <= 1):
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if self.alpha is not None and self.alpha < 0:
-            raise ValueError(f"alpha must lie in [0, inf), got {self.alpha}")
+        super().__post_init__()
         if self.gamma is not None and self.gamma_coefficient is not None:
             raise ValueError("give gamma or gamma_coefficient, not both")
-        if self.tau_margin < 0:
-            raise ValueError(f"tau_margin must lie in [0, inf), got {self.tau_margin}")
 
 
 @dataclass(frozen=True)
@@ -163,14 +177,6 @@ class UniformConvergenceConfig(_Config):
     tau: Fraction = BASE_RATE
     delta: Fraction = Fraction(1, 10)
     c_grid: tuple[int, ...] = (1, 2, 4, 8)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", _check_grid(self.n_grid))
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        object.__setattr__(self, "c_grid", _check_grid(self.c_grid, "c"))
-        if not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -187,12 +193,9 @@ class LowerBoundConfig(_Config):
     tau_margin: Fraction = Fraction(1, 1000)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.trials < 1:
-            raise ValueError("need n >= 1 and at least one trial")
+        super().__post_init__()
         if not (0 < self.gamma < Fraction(1, 8)):
             raise ValueError(f"gamma must lie in (0, 1/8), got {self.gamma}")
-        if self.tau_margin < 0:
-            raise ValueError(f"tau_margin must lie in [0, inf), got {self.tau_margin}")
 
 
 @dataclass(frozen=True)

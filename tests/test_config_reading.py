@@ -1,14 +1,24 @@
 """Each reading rule has one owner. `_Config.from_dict` reads a config whole:
 the declared experiment, unknown keys, and absent or null defaults. The CLI
-only resolves the seed. Family and meta files share one domain-list reader."""
+only resolves the seed. A config checks its fields' types and ranges however it
+is built, in Python or from JSON. Family and meta files share one domain-list
+reader."""
 import json
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction as F
 
 import pytest
 
-from genlab import LowerBoundConfig, ScalingConfig, UniformConvergenceConfig, load_family, load_meta
+from genlab import (
+    LowerBoundConfig,
+    ScalingConfig,
+    UniformConvergenceConfig,
+    experiments,
+    load_family,
+    load_meta,
+    run_lower_bound,
+)
 from genlab.cli import main
 from genlab.serialize import family_from_dict, meta_from_dict
 
@@ -25,6 +35,20 @@ NULL_REFUSALS = {
     "tuple[int, ...]": "must be a JSON list, got NoneType",
     "Fraction": "expected a decimal-free rational like '3/10' or '7', got None",
 }
+# a float, a bool and a string (an int for a string field) for each field
+# annotation, and the refusal each gets from a config built in Python
+WRONG_TYPES = {
+    "str": ((2.5, True, 7), " must be a JSON string, got {kind}"),
+    "int": ((2.5, True, "3"), " must be a JSON integer, got {value!r}"),
+    "tuple[int, ...]": (
+        (2.5, True, "48"), ": grid must list positive integers, strictly increasing, got {value!r}"),
+    "Fraction": ((0.5, True, "1/50"), " must be ints or Fractions, got {value!r}"),
+    "Fraction | None": ((0.5, False, "1/50"), " must be ints or Fractions, got {value!r}"),
+}
+WRONG_TYPE_CASES = [
+    (cfg, f.name, value) for cfg in CONFIGS for f in fields(cfg)
+    for value in WRONG_TYPES[f.type][0]
+]
 DOMAIN = {"space": 2, "atoms": [{"x": 0, "y": 0, "mass": "1"}]}
 
 
@@ -86,6 +110,40 @@ class TestFromDict:
                 message = f"{cfg.experiment} config needs a '{f.name}' field"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     type(cfg).from_dict(obj)
+
+
+class TestPythonBuilt:
+    @pytest.mark.parametrize("cfg, name, value", WRONG_TYPE_CASES, ids=[
+        f"{cfg.experiment}-{name}-{type(value).__name__}" for cfg, name, value in WRONG_TYPE_CASES
+    ])
+    def test_inexact_values_refused(self, cfg, name, value):
+        kind = next(f.type for f in fields(cfg) if f.name == name)
+        refusal = WRONG_TYPES[kind][1].format(kind=type(value).__name__, value=value)
+        message = f"{cfg.experiment} config {name!r}{refusal}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(cfg, **{name: value})
+
+    def test_every_field_annotation_has_a_type_rule(self):
+        classes = experiments._Config.__subclasses__()
+        assert {cls.experiment for cls in classes} == set(IDS)
+        for cls in classes:
+            for f in fields(cls):
+                assert f.type in experiments._TYPES, (cls.__name__, f.name, f.type)
+
+    @pytest.mark.parametrize("cfg, name, value, message", [
+        (CONFIGS[1], "tau", F(3), "tau must lie in [0, 1], got 3"),
+        (CONFIGS[2], "tau", F(-1), "tau must lie in [0, 1], got -1"),
+        (CONFIGS[2], "trials", 0, "need at least one trial"),
+    ], ids=["uniform-convergence-tau", "lower-bound-tau", "lower-bound-trials"])
+    def test_each_range_rule_holds_for_every_config(self, cfg, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(cfg, **{name: value})
+
+    def test_report_bytes_do_not_depend_on_how_a_rational_was_passed(self):
+        cfg = LowerBoundConfig(F(1, 50), F(1, 20), 4, 3, 5, tau_margin=0)
+        copy = LowerBoundConfig.from_dict(cfg.to_dict())
+        assert copy == cfg
+        assert run_lower_bound(copy).to_json_text() == run_lower_bound(cfg).to_json_text()
 
 
 class TestExperimentCommand:

@@ -103,7 +103,7 @@ def test_master_seed_must_be_an_int(derive, master):
 def test_run_scaling_refuses_a_float_seed_before_any_row(monkeypatch):
     rows = []
     monkeypatch.setattr(genlab.experiments, "TrialRow", lambda *row: rows.append(row))
-    cfg = ScalingConfig("point-mass", F(1, 50), (2, 4), 3, 2.5)
-    with pytest.raises(ValueError, match="^master seed must be an int, got 2.5$"):
-        run_scaling(cfg)
+    # the config refuses the seed when it is built, so no row is drawn from seed 2
+    with pytest.raises(ValueError, match=r"^scaling config 'seed' must be a JSON integer, got 2\.5$"):
+        run_scaling(ScalingConfig("point-mass", F(1, 50), (2, 4), 3, 2.5))
     assert rows == []

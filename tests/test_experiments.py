@@ -2,6 +2,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import random
 import statistics
 import typing
@@ -342,6 +343,18 @@ class TestUniformConvergence:
             assert rep.aggregates["calibrated_c"] == passing[0]
         else:
             assert rep.aggregates["calibrated_c"] is None
+
+    def test_frequency_above_delta_fails_the_c(self):
+        # at n=1, gamma = log(10/9) and every trial exposes more mass than that
+        cfg = UniformConvergenceConfig(F(1, 50), (1,), 4, 7, delta=F(9, 10), c_grid=(1,))
+        rep = run_uniform_convergence(cfg)
+        (block,) = rep.aggregates["frequencies"]
+        (entry,) = block["per_n"]
+        assert entry["gamma"] == pytest.approx(math.log(10 / 9))
+        assert (entry["n"], entry["count"], entry["freq"]) == (1, 4, 1.0)
+        assert block["passes"] is False and rep.aggregates["calibrated_c"] is None
+        # with no calibrated C, the series falls back to the first C
+        assert rep.series() == [{"x": 1, "y": 1.0}]
 
 
 class TestLowerBound:
