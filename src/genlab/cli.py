@@ -22,7 +22,7 @@ from pathlib import Path
 import genlab
 
 from .core import GenlabError
-from .serialize import _read_json, _typed
+from .serialize import _read_json, _staged, _typed
 
 
 def _rational(text: str) -> Fraction:
@@ -239,8 +239,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = config_cls.from_dict(raw)
     report = runner(cfg)
     out = Path(args.out_dir)
-    genlab.write_text_atomic(out / "report.json", report.to_json_text())
-    genlab.write_text_atomic(out / "report.csv", report.to_csv_text(args.float_digits))
+    # Both reports are staged and filled in one pass over the rows, so neither
+    # text is ever whole, and a row that cannot be written leaves both as they were.
+    with _staged(out / "report.json") as json_file, _staged(out / "report.csv") as csv_file:
+        for json_piece, csv_piece in report.chunks(args.float_digits):
+            json_file.write(json_piece)
+            csv_file.write(csv_piece)
     genlab.write_json_atomic(out / "series.json", report.series())
     agg = report.aggregates
     if name == "scaling":

@@ -81,7 +81,7 @@ _TYPES: dict[str, Callable[[Any, str], Any]] = {
 # Config range rules by field name, skipped for a None: (holds, refusal).
 _RANGES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "generator": (SCALING_GENERATORS.__contains__, "unknown generator {!r}"),
-    "n": (lambda n: n >= 1, "need n >= 1 and at least one trial"),
+    "n": (lambda n: n >= 1, "need n >= 1"),
     "trials": (lambda trials: trials >= 1, "need at least one trial"),
     "tau": (lambda tau: 0 <= tau <= 1, "tau must lie in [0, 1], got {}"),
     "alpha": (lambda alpha: alpha >= 0, "alpha must lie in [0, inf), got {}"),
@@ -224,17 +224,11 @@ def _row_dict(r: TrialRow) -> dict[str, Any]:
     }
 
 
-def _encoders(digits: int = 12) -> tuple[Callable[[Any], tuple[str, str, str]], Callable[[Any], str]]:
-    """The per-row encoders report.json and report.csv share: a mass as "p/q",
-    as its float to `digits` significant digits and as its float repr,
-    formatted once per distinct mass; and `extra` as compact key-sorted JSON."""
-    mass = cache(lambda q: (rational_to_str(q), format(float(q), f".{digits}g"),
-                            repr(float(q))))
-    return mass, json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-# A row inside report.json's top-level "rows" list, as `json.dump(...,
-# indent=2, sort_keys=True)` writes it after "[" or ",": the nine keys in sorted order.
+# report.csv's header, and a row inside report.json's top-level "rows" list as
+# `json.dump(..., indent=2, sort_keys=True)` writes it after "[" or ",": the
+# nine keys in sorted order.
+_CSV_HEADER = ("experiment", "n", "trial", "seed", "hypothesis_index", "er_exact", "er_float",
+               "max_train_err", "extra")
 _ROW_JSON = (
     '\n    {\n      "er_exact": "%s",\n      "er_float": %s,\n      "experiment": %s,\n'
     '      "extra": %s,\n      "hypothesis_index": %d,\n      "max_train_err": %s,\n'
@@ -249,26 +243,73 @@ class ExperimentReport:
     rows: tuple[TrialRow, ...]
     aggregates: dict[str, Any]
 
-    def to_csv_text(self, float_digits: int = 12) -> str:
+    def chunks(self, float_digits: int = 12) -> Iterator[tuple[str, str]]:
+        """report.json and report.csv in one pass over the rows, as (JSON, CSV)
+        pieces to append to each file: the heads, one pair per row, the tails.
+
+        report.json is `to_json_dict()` plus "series" as `json.dump(..., indent=2,
+        sort_keys=True)` writes it, and a newline. report.csv is what csv.writer
+        writes: masses as "p/q" and as floats to `float_digits` significant
+        digits, `extra` as compact key-sorted JSON. Each row fills one template
+        per file, from pieces formatted once per distinct mass, experiment name
+        and compact `extra`. A row holding a value the templates cannot write
+        exactly (a bool or other non-int where an int goes, a non-Fraction mass,
+        a non-str experiment) takes `json.dumps` and csv.writer, unmemoised."""
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["experiment", "n", "trial", "seed", "hypothesis_index", "er_exact",
-             "er_float", "max_train_err", "extra"]
-        )
-        mass, encode = _encoders(float_digits)
+
+        def csv_line(fields: Sequence[Any]) -> str:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(fields)
+            return buf.getvalue()
+
+        def csv_field(text: str) -> str:  # the first of two fields: a lone "" is quoted
+            return csv_line((text, ""))[:-2]
+
+        # a mass as "p/q", as its float repr and as its float in report.csv, keyed
+        # by its integer ratio (cheaper to hash than the Fraction)
+        mass = cache(lambda p, q: (f"{p}/{q}", repr(p / q), format(p / q, f".{float_digits}g")))
+        name = cache(lambda text: (encode(text), csv_field(text)))
+        extras: dict[str, tuple[str, str]] = {}  # compact `extra` -> its JSON and CSV forms
+        payload = {"experiment": self.experiment, "config": self.config,
+                   "aggregates": self.aggregates, "rows": [], "series": self.series()}
+        # "rows" is a top-level key, the only one indented by two spaces (a JSON
+        # string holds no raw newline), so the split finds it exactly once
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split('\n  "rows": []')
+        yield head + '\n  "rows": [', csv_line(_CSV_HEADER)
+        comma = ""
         for r in self.rows:
-            writer.writerow([
-                r.experiment,
-                r.n,
-                r.trial,
-                r.seed,
-                r.hypothesis_index,
-                *mass(r.er_exact)[:2],
-                "" if r.max_train_err is None else mass(r.max_train_err)[0],
-                encode(r.extra),
-            ])
-        return buf.getvalue()
+            if (type(r.n) is type(r.trial) is type(r.seed) is type(r.hypothesis_index) is int
+                    and type(r.experiment) is str and type(r.er_exact) is Fraction
+                    and (r.max_train_err is None or type(r.max_train_err) is Fraction)):
+                key = encode(r.extra)
+                forms = extras.get(key)
+                if forms is None:
+                    text = json.dumps(r.extra, indent=2, sort_keys=True).replace("\n", "\n      ")
+                    forms = extras[key] = (text, csv_field(key))
+                er, er_float, er_csv = mass(*r.er_exact.as_integer_ratio())
+                train = ("" if r.max_train_err is None
+                         else mass(*r.max_train_err.as_integer_ratio())[0])
+                experiment, experiment_csv = name(r.experiment)
+                piece = _ROW_JSON % (er, er_float, experiment, forms[0], r.hypothesis_index,
+                                     f'"{train}"' if train else "null", r.n, r.seed, r.trial)
+                line = (f"{experiment_csv},{r.n},{r.trial},{r.seed},{r.hypothesis_index},"
+                        f"{er},{er_csv},{train},{forms[1]}\n")
+            else:
+                row = _row_dict(r)  # its first six values are report.csv's first six fields
+                piece = "\n    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
+                line = csv_line((*(row[k] for k in _CSV_HEADER[:6]),
+                                 format(row["er_float"], f".{float_digits}g"),
+                                 row["max_train_err"] or "", encode(r.extra)))
+            yield comma + piece, line
+            comma = ","
+        yield ("\n  ]" if comma else "]") + tail + "\n", ""
+
+    def to_csv_text(self, float_digits: int = 12) -> str:
+        """report.csv, as `chunks` writes it."""
+        return "".join(piece for _, piece in self.chunks(float_digits))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -279,35 +320,8 @@ class ExperimentReport:
         }
 
     def to_json_text(self) -> str:
-        """report.json: `to_json_dict()` plus "series" as `json.dump(..., indent=2,
-        sort_keys=True)` writes it, and a newline. Each row fills one template; a
-        row holding a value it cannot write exactly (a bool or other non-int where
-        an int goes, a non-Fraction mass, a non-str experiment) takes `json.dumps`."""
-        mass, encode = _encoders()
-        indented: dict[str, str] = {}  # compact `extra` -> its form inside a row
-        rows = []
-        for r in self.rows:
-            if not (type(r.n) is type(r.trial) is type(r.seed) is type(r.hypothesis_index) is int
-                    and type(r.experiment) is str and type(r.er_exact) is Fraction
-                    and (r.max_train_err is None or type(r.max_train_err) is Fraction)):
-                text = json.dumps(_row_dict(r), indent=2, sort_keys=True)
-                rows.append("\n    " + text.replace("\n", "\n    "))
-                continue
-            key = encode(r.extra)
-            if key not in indented:
-                text = json.dumps(r.extra, indent=2, sort_keys=True)
-                indented[key] = text.replace("\n", "\n      ")
-            er, _, er_float = mass(r.er_exact)
-            train = "null" if r.max_train_err is None else f'"{mass(r.max_train_err)[0]}"'
-            rows.append(_ROW_JSON % (er, er_float, encode(r.experiment), indented[key],
-                                     r.hypothesis_index, train, r.n, r.seed, r.trial))
-        payload = {"experiment": self.experiment, "config": self.config,
-                   "aggregates": self.aggregates, "rows": [], "series": self.series()}
-        # "rows" is a top-level key, the only one indented by two spaces (a JSON
-        # string holds no raw newline), so the split finds it exactly once
-        head, tail = json.dumps(payload, indent=2, sort_keys=True).split('\n  "rows": []')
-        rows = ",".join(rows)  # frees the row list before the whole text is built
-        return "".join((head, '\n  "rows": [', rows, "\n  ]" if rows else "]", tail, "\n"))
+        """report.json, as `chunks` writes it."""
+        return "".join(piece for piece, _ in self.chunks())
 
     def series(self) -> list[dict[str, float]]:
         """Plot-ready (x, y) pairs; semantics depend on the experiment."""

@@ -294,7 +294,7 @@ def write_text_atomic(path: Path | str, text: str) -> None:
 
 def write_json_atomic(path: Path | str, obj: Any) -> None:
     """Stream indented, key-sorted JSON and a final newline into place (report.json
-    rows are rendered once from a template instead, by `ExperimentReport.to_json_text`)."""
+    and report.csv are streamed instead from `ExperimentReport.chunks`' templates)."""
     with _staged(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

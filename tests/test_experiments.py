@@ -92,8 +92,7 @@ class TestConfigs:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: UniformConvergenceConfig(F(1, 50), (4, 8), 0, 1), "^need at least one trial$"),
-        (lambda: LowerBoundConfig(F(1, 50), F(1, 20), 0, 5, 1),
-         "^need n >= 1 and at least one trial$"),
+        (lambda: LowerBoundConfig(F(1, 50), F(1, 20), 0, 5, 1), "^need n >= 1$"),
     ], ids=["uc-trials-zero", "lb-n-zero"])
     def test_counts_refused(self, build, message):
         with pytest.raises(ValueError, match=message):

@@ -1,9 +1,14 @@
-"""`ExperimentReport.to_json_text` against its reference: the report.json bytes
-`json.dumps(to_json_dict() + series, indent=2, sort_keys=True)` and a newline
-write. Generated reports cover every row shape the template fills, and rows
-holding values the template cannot write exactly (which take `json.dumps`);
-the three runners are compared through the files the CLI writes."""
+"""`ExperimentReport.to_json_text` and `to_csv_text` against their references:
+the report.json bytes `json.dumps(to_json_dict() + series, indent=2,
+sort_keys=True)` and a newline write, and the report.csv a plain `csv.writer`
+writes row by row. Generated reports cover every row shape the templates fill,
+and rows holding values the templates cannot write exactly (which take
+`json.dumps` and `csv.writer`); the three runners are compared through the
+files the CLI streams, and a row that cannot be written must leave both files
+as they were."""
+import csv
 import dataclasses
+import io
 import json
 from fractions import Fraction
 
@@ -11,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genlab
 from genlab import (
     ExperimentReport,
     LowerBoundConfig,
@@ -22,6 +28,7 @@ from genlab import (
     run_uniform_convergence,
 )
 from genlab.cli import main
+from genlab.serialize import rational_to_str
 
 F = Fraction
 
@@ -73,6 +80,21 @@ def reference(report: ExperimentReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def csv_reference(report: ExperimentReport, digits: int = 12) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["experiment", "n", "trial", "seed", "hypothesis_index", "er_exact",
+                     "er_float", "max_train_err", "extra"])
+    for r in report.rows:
+        writer.writerow([
+            r.experiment, r.n, r.trial, r.seed, r.hypothesis_index, rational_to_str(r.er_exact),
+            format(float(r.er_exact), f".{digits}g"),
+            "" if r.max_train_err is None else rational_to_str(r.max_train_err),
+            json.dumps(r.extra, sort_keys=True, separators=(",", ":")),
+        ])
+    return buf.getvalue()
+
+
 def report_of(rows, experiment="lower-bound", config=None, aggregates=None):
     return ExperimentReport(experiment, config or {}, tuple(rows), aggregates or {})
 
@@ -87,6 +109,13 @@ def report_of(rows, experiment="lower-bound", config=None, aggregates=None):
 def test_generated_reports_match_reference(experiment, config, aggregates, rows):
     report = report_of(rows, experiment, config, aggregates)
     assert report.to_json_text() == reference(report)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(rows=st.lists(ROW | OFF_ROW, max_size=6), digits=st.sampled_from([0, 3, 12, 17]))
+def test_generated_csv_matches_reference(rows, digits):
+    report = report_of(rows)
+    assert report.to_csv_text(digits) == csv_reference(report, digits)
 
 
 def row(**fields):
@@ -110,6 +139,7 @@ LOWER_BOUND_EXTRA = {"b": "0110", "unseen": [0, 3], "failed_unseen": [], "exceed
 def test_row_shapes_match_reference(rows):
     report = report_of(rows, config={'c"\\é': ["ü", 1], "seed": 2**64 - 1})
     assert report.to_json_text() == reference(report)
+    assert report.to_csv_text() == csv_reference(report)
 
 
 @pytest.mark.parametrize("fields", OFF_TYPE, ids=lambda f: "-".join(f"{k}={v!r}" for k, v in f.items()))
@@ -118,6 +148,24 @@ def test_off_type_rows_take_json_dumps(fields):
     writes it, between rows that fill the template."""
     report = report_of([row(er_exact=F(1, 3)), row(**{"trial": 1, **fields}), row(trial=2)])
     assert report.to_json_text() == reference(report)
+    assert report.to_csv_text() == csv_reference(report)
+
+
+def test_fraction_subclass_row_agrees_across_files():
+    """A mass equal to an earlier row's but of a Fraction subclass gets its own
+    float in both files, not the earlier row's."""
+    report = report_of([row(er_exact=F(1, 3)), row(trial=1, er_exact=HalfFloat(1, 3))])
+    rows = json.loads(report.to_json_text())["rows"]
+    lines = list(csv.reader(io.StringIO(report.to_csv_text())))
+    assert [r["er_float"] for r in rows] == [1 / 3, 0.5]
+    assert [line[6] for line in lines[1:]] == ["0.333333333333", "0.5"]
+
+
+def test_one_piece_pair_per_row():
+    report = report_of([row(trial=t) for t in range(5)] + [row(trial=5, n=True)])
+    pieces = list(report.chunks())
+    assert len(pieces) == len(report.rows) + 2
+    assert pieces[-1][1] == ""
 
 
 SMALL = {
@@ -131,15 +179,53 @@ SMALL = {
 }
 
 
-@pytest.mark.parametrize("seed", [3, 104729])
-@pytest.mark.parametrize("name", sorted(SMALL))
-def test_written_report_matches_reference(tmp_path, capsys, name, seed):
+def run_cli(tmp_path, name, seed=3, digits=None):
     config_cls, runner, config = SMALL[name]
     raw = {"experiment": name, **config, "seed": seed}
     (tmp_path / "config.json").write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main(["experiment", name, "--config", str(tmp_path / "config.json"),
-                 "--out", str(out)]) == 0
+    extra = [] if digits is None else ["--float-digits", str(digits)]
+    code = main(["experiment", name, "--config", str(tmp_path / "config.json"),
+                 "--out", str(out), *extra])
+    return code, out, runner(config_cls.from_dict(raw))
+
+
+@pytest.mark.parametrize("seed", [3, 104729])
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_written_report_matches_reference(tmp_path, capsys, name, seed):
+    code, out, report = run_cli(tmp_path, name, seed)
     capsys.readouterr()
-    expected = reference(runner(config_cls.from_dict(raw)))
-    assert (out / "report.json").read_bytes() == expected.encode("utf-8")
+    assert code == 0
+    assert (out / "report.json").read_bytes() == reference(report).encode("utf-8")
+
+
+@pytest.mark.parametrize("digits", [None, 3])
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_streamed_files_match_the_texts(tmp_path, capsys, name, digits):
+    code, out, report = run_cli(tmp_path, name, digits=digits)
+    capsys.readouterr()
+    assert code == 0
+    assert (out / "report.json").read_bytes() == report.to_json_text().encode("utf-8")
+    assert (out / "report.csv").read_bytes() == report.to_csv_text(
+        12 if digits is None else digits).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [
+    {"extra": {"s": {1}}},
+    {"extra": {"s": {1}}, "er_exact": HalfFloat(1, 3)},
+], ids=["template-row", "fallback-row"])
+def test_row_that_cannot_be_written_leaves_both_reports(tmp_path, capsys, monkeypatch, bad):
+    """A row that raises partway through the pass replaces neither report and
+    leaves no staged file behind."""
+    code, out, _ = run_cli(tmp_path, "lower-bound")
+    capsys.readouterr()
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    good = run_lower_bound(LowerBoundConfig.from_dict(
+        {**SMALL["lower-bound"][2], "seed": 104729}))
+    rows = good.rows[:4] + (dataclasses.replace(good.rows[4], **bad),) + good.rows[5:]
+    monkeypatch.setattr(genlab.experiments, "run_lower_bound",
+                        lambda cfg: dataclasses.replace(good, rows=rows))
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        run_cli(tmp_path, "lower-bound", seed=104729)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
