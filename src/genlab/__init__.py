@@ -108,6 +108,7 @@ _EXPORTS = {
     "rational_to_str": "serialize",
     "training_set_from_dict": "serialize",
     "training_set_to_dict": "serialize",
+    "write_hypothesis_class": "serialize",
     "write_json_atomic": "serialize",
     "write_text_atomic": "serialize",
     "DEFAULT_SEED": "seeding",

@@ -124,10 +124,9 @@ def cmd_construct_odd_even(args: argparse.Namespace) -> int:
     domain, slice_ = genlab.odd_even_domain(args.m)
     out = Path(args.out_dir)
     genlab.write_json_atomic(out / "domain.json", genlab.domain_to_dict(domain))
-    genlab.write_json_atomic(out / "class.json",
-                             genlab.hypothesis_class_to_dict(slice_.hypothesis_class))
-    members = slice_.hypothesis_class.members
-    errors = [genlab.domain_error(h, domain) for h in members[:2]]
+    genlab.write_hypothesis_class(out / "class.json", slice_.hypothesis_class)
+    hc = slice_.hypothesis_class
+    errors = [genlab.domain_error(hc.member(i), domain) for i in range(min(len(hc), 2))]
     line = f"m={args.m} space={slice_.space} odd_err={genlab.rational_to_str(errors[0])}"
     if len(errors) > 1:
         line += f" even_err={genlab.rational_to_str(errors[1])}"
@@ -138,8 +137,7 @@ def cmd_construct_odd_even(args: argparse.Namespace) -> int:
 def cmd_construct_large_k(args: argparse.Namespace) -> int:
     fam = genlab.large_k_family(args.alpha)
     out = Path(args.out_dir)
-    genlab.write_json_atomic(out / "class.json",
-                             genlab.hypothesis_class_to_dict(fam.slice.hypothesis_class))
+    genlab.write_hypothesis_class(out / "class.json", fam.slice.hypothesis_class)
     genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(fam.family))
     genlab.write_json_atomic(out / "certificate.json",
                              genlab.certificate_to_dict(fam.certificate()))
@@ -154,7 +152,7 @@ def cmd_construct_product(args: argparse.Namespace) -> int:
     base = genlab.large_k_family(args.alpha)
     hc, family = genlab.product_family(base, args.d, cap=args.cap)
     out = Path(args.out_dir)
-    genlab.write_json_atomic(out / "class.json", genlab.hypothesis_class_to_dict(hc))
+    genlab.write_hypothesis_class(out / "class.json", hc)
     genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(family))
     print(f"k={base.k} d={args.d} hypotheses={len(hc)} domains={len(family)} out={out}")
     return 0
@@ -163,8 +161,7 @@ def cmd_construct_product(args: argparse.Namespace) -> int:
 def cmd_construct_lower_bound(args: argparse.Namespace) -> int:
     lbf = genlab.large_k_lower_bound(args.alpha, args.tau, args.lb_alpha)
     out = Path(args.out_dir)
-    genlab.write_json_atomic(out / "class.json",
-                             genlab.hypothesis_class_to_dict(lbf.hypothesis_class))
+    genlab.write_hypothesis_class(out / "class.json", lbf.hypothesis_class)
     genlab.write_json_atomic(out / "family.json", genlab.family_to_dict(lbf.extended_family))
     genlab.write_json_atomic(out / "certificate.json",
                              genlab.certificate_to_dict(lbf.certificate))
@@ -185,8 +182,7 @@ def cmd_construct_adversarial(args: argparse.Namespace) -> int:
         bits = tuple(rng.randrange(2) for _ in range(lbf.d))
     meta = genlab.adversarial_meta(lbf, bits, args.gamma)
     out = Path(args.out_dir)
-    genlab.write_json_atomic(out / "class.json",
-                             genlab.hypothesis_class_to_dict(lbf.hypothesis_class))
+    genlab.write_hypothesis_class(out / "class.json", lbf.hypothesis_class)
     genlab.write_json_atomic(out / "meta.json", genlab.meta_to_dict(meta))
     print(f"d={lbf.d} gamma={genlab.rational_to_str(args.gamma)} "
           f"b={''.join(map(str, bits))} "

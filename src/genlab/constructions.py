@@ -9,23 +9,21 @@ m' is the (odd) number of non-anchor support points.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 
 from .core import (
     Atom,
     ConstructionError,
     DomainFamily,
     ErrorMatrix,
-    Hypothesis,
     HypothesisClass,
     LabeledDistribution,
     MetaDistribution,
     SpaceMismatchError,
     exact_values,
-    flip_labels,
     mix,
 )
 from .dimensions import DimensionQuery, ShatteringCertificate, verify_certificate
@@ -50,10 +48,9 @@ class ThresholdSlice:
         if cutoff < 1:
             raise ValueError("threshold slice needs cutoff >= 1")
         space = cutoff + 2
-        members = tuple(
-            Hypothesis((0,) * i + (1,) * (space - i)) for i in range(1, cutoff + 1)
-        )
-        return cls(cutoff, HypothesisClass(space, members))
+        ones = int.from_bytes(b"\x01" * space, "little")  # every point labeled 1
+        masks = [ones >> 8 * i << 8 * i for i in range(1, cutoff + 1)]
+        return cls(cutoff, HypothesisClass.from_masks(space, masks))
 
     @property
     def space(self) -> int:
@@ -193,13 +190,11 @@ def product_family(
         )
     width = base.slice.space
     space = d * width
-    members = []
-    for combo in itertools.product(base.slice.hypothesis_class.members, repeat=d):
-        labels: list[int] = []
-        for h in combo:
-            labels.extend(h.labels)
-        members.append(Hypothesis(tuple(labels)))
-    hc = HypothesisClass(space, tuple(members))
+    # coordinate c's labels sit 8*width*c bits up; the first coordinate varies slowest
+    masks = [0]
+    for c in range(d):
+        masks = [m | b << 8 * width * c for m in masks for b in base.slice.hypothesis_class.masks]
+    hc = HypothesisClass.from_masks(space, masks)
     domains = []
     for c in range(d):
         for dom in base.family.domains:
@@ -214,13 +209,12 @@ def unanimous_point_mass(hc: HypothesisClass) -> LabeledDistribution:
     This is the canonical clean domain: every member has error exactly 0.
     Fails loudly when the class disagrees everywhere.
     """
-    for x in range(hc.space):
-        values = {h.labels[x] for h in hc.members}
-        if len(values) == 1:
-            return LabeledDistribution(
-                hc.space, (Atom(x, values.pop(), Fraction(1)),)
-            )
-    raise ConstructionError("no instance is labeled unanimously by the class")
+    every = reduce(and_, hc.masks)  # byte x is 1 where every member labels x 1
+    # byte x is 0 where the members agree on x
+    x = (reduce(or_, hc.masks) ^ every).to_bytes(hc.space, "little").find(0)
+    if x < 0:
+        raise ConstructionError("no instance is labeled unanimously by the class")
+    return LabeledDistribution(hc.space, (Atom(x, every >> 8 * x & 1, Fraction(1)),))
 
 
 @dataclass(frozen=True)
@@ -315,9 +309,7 @@ def lower_bound_family(
         if not (0 <= j < len(g)):
             raise ValueError(f"certificate names domain {j}, family has {len(g)}")
     lam = (tau - alpha) / (1 - tau)
-    flipped = tuple(
-        mix(d0, flip_labels(g.domains[j]), lam) for j in cert.domain_indices
-    )
+    flipped = tuple(mix(d0, g.domains[j], lam, flip=True) for j in cert.domain_indices)
     extended = DomainFamily(g.space, g.domains + (d0,) + flipped)
     return LowerBoundFamily(
         g, d0, cert.domain_indices, lam, flipped, extended, tau, alpha, hc, cert

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -88,34 +88,87 @@ class Hypothesis:
         return self.labels[x]
 
 
-@dataclass(frozen=True)
-class HypothesisClass:
-    """An ordered, duplicate-free collection of hypotheses on one space."""
+class Frozen:
+    """Refuses to assign or delete attributes, as a frozen dataclass does; a
+    subclass fills its `__dict__` directly."""
 
-    space: int
-    members: tuple[Hypothesis, ...]
-    # each member's labels as one int whose byte x holds the label of point x
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self) -> None:
-        _check_space(self.space)
-        members = tuple(self.members)
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class HypothesisClass(Frozen):
+    """An ordered, duplicate-free collection of hypotheses on one space.
+
+    Held as `masks`, one int per member whose byte x holds the label of point
+    x. Built from `Hypothesis` objects it keeps them as `members`; built
+    `from_masks` it makes each member on first read. Equality, hashing and
+    repr read the space and the members, and the class is immutable, as a
+    frozen dataclass of those two fields would be."""
+
+    def __init__(self, space: int, members: Iterable[Hypothesis]) -> None:
+        _check_space(space)
+        members = tuple(members)
         if not members:
             raise ValueError("hypothesis class must be non-empty")
         for i, h in enumerate(members):
-            if h.space != self.space:
+            if h.space != space:
                 raise SpaceMismatchError(
-                    f"member {i} labels {h.space} instances, class space is {self.space}"
+                    f"member {i} labels {h.space} instances, class space is {space}"
                 )
         # every row has `space` labels here, so distinct rows give distinct masks
-        masks = tuple(int.from_bytes(bytes(h.labels), "little") for h in members)
-        if len(set(masks)) != len(members):
+        self._hold(space, tuple(int.from_bytes(bytes(h.labels), "little") for h in members),
+                   members)
+
+    @classmethod
+    def from_masks(cls, space: int, masks: Iterable[int]) -> HypothesisClass:
+        """The class whose member i labels point x with byte x of masks[i]:
+        every byte below `space` must be 0 or 1, and none above it set."""
+        _check_space(space)
+        masks = tuple(masks)
+        if not masks:
+            raise ValueError("hypothesis class must be non-empty")
+        if not set(map(type, masks)) <= {int} or min(masks) < 0 or max(masks) >> 8 * space:
+            raise ValueError(f"hypothesis masks must be ints in [0, 256**{space})")
+        if b"".join([m.to_bytes(space, "little") for m in masks]).translate(None, b"\x00\x01"):
+            raise ValueError("hypothesis labels must be 0 or 1")
+        hc = cls.__new__(cls)
+        hc._hold(space, masks, None)
+        return hc
+
+    def _hold(self, space: int, masks: tuple[int, ...],
+              members: tuple[Hypothesis, ...] | None) -> None:
+        if len(set(masks)) != len(masks):
             raise ValueError("hypothesis class members must be pairwise distinct labelings")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "masks", masks)
+        self.__dict__.update(space=space, masks=masks, _members=members)
+
+    def member(self, i: int) -> Hypothesis:
+        """Member i, made from its mask when the class holds no members."""
+        if self._members is not None:
+            return self._members[i]
+        return Hypothesis(tuple(self.masks[i].to_bytes(self.space, "little")))
+
+    @property
+    def members(self) -> tuple[Hypothesis, ...]:
+        if self._members is None:
+            self.__dict__["_members"] = tuple(map(self.member, range(len(self.masks))))
+        return self._members
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.members) == (other.space, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.members))
+
+    def __repr__(self) -> str:
+        return f"HypothesisClass(space={self.space!r}, members={self.members!r})"
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
 
 class Atom(NamedTuple):
@@ -341,9 +394,13 @@ class ErrorMatrix:
     def mistakes(self, j: int, atom_indices: Iterable[int]) -> tuple[int, ...]:
         """How many points of a sample of domain j each hypothesis mislabels,
         the sample given as the index into domain j's atoms of each point."""
+        return self.tally(j, Counter(atom_indices).items())
+
+    def tally(self, j: int, counts: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """`mistakes` on a sample of domain j given as (atom index, number of
+        points) pairs."""
         atoms = self._atoms[j]
-        hits = Counter(atom_indices).items()
-        return popcount_column(self._masks, ((atoms[k].x, atoms[k].y, c) for k, c in hits))
+        return popcount_column(self._masks, ((atoms[k].x, atoms[k].y, c) for k, c in counts))
 
     def divergence(self, j: int, k: int, tau: Fraction | None = None) -> Fraction | None:
         """Largest error gap between domains j and k over the hypotheses whose
@@ -369,8 +426,12 @@ def flip_labels(d: LabeledDistribution) -> LabeledDistribution:
     return LabeledDistribution(d.space, tuple(Atom(a.x, 1 - a.y, a.mass) for a in d.atoms))
 
 
-def mix(d0: LabeledDistribution, d1: LabeledDistribution, lam: Fraction) -> LabeledDistribution:
-    """Convex combination (1-lam)*d0 + lam*d1 with atom merging; lam is an int or Fraction."""
+def mix(
+    d0: LabeledDistribution, d1: LabeledDistribution, lam: Fraction, *, flip: bool = False
+) -> LabeledDistribution:
+    """Convex combination (1-lam)*d0 + lam*d1 with atom merging; lam is an int
+    or Fraction. With `flip`, d1's labels are complemented first, in the same
+    pass: the result equals mix(d0, flip_labels(d1), lam)."""
     if d0.space != d1.space:
         raise SpaceMismatchError(f"cannot mix spaces {d0.space} and {d1.space}")
     lam = Fraction(*exact_values((lam,), "mixture weight"))
@@ -380,10 +441,11 @@ def mix(d0: LabeledDistribution, d1: LabeledDistribution, lam: Fraction) -> Labe
     p, q = lam.numerator, lam.denominator
     den = math.lcm(d0.denominator, d1.denominator)
     acc: dict[tuple[int, int], int] = {}
-    for scale, d in (((q - p) * (den // d0.denominator), d0), (p * (den // d1.denominator), d1)):
+    for scale, d, f in (((q - p) * (den // d0.denominator), d0, 0),
+                        (p * (den // d1.denominator), d1, 1 if flip else 0)):
         if scale:
             for x, y, w in d.weighted:
-                acc[x, y] = acc.get((x, y), 0) + scale * w
+                acc[x, y ^ f] = acc.get((x, y ^ f), 0) + scale * w
     total = q * den
     atoms = tuple(Atom(x, y, Fraction(m, total)) for (x, y), m in acc.items())
     return LabeledDistribution(d0.space, atoms)

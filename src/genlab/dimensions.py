@@ -9,16 +9,17 @@ by an explicit witness map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, or_
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import (
     CertificateError,
     DomainFamily,
     ErrorMatrix,
+    Frozen,
     HypothesisClass,
     SpaceMismatchError,
     domain_error,
@@ -28,42 +29,95 @@ from .core import (
 DEFAULT_SEARCH_CAP = 20
 
 
-@dataclass(frozen=True)
-class PartialConceptClass:
-    """Concepts mapping universe points to 0, 1, or None (undefined); `masks`
-    holds each as a (zero, one) int pair, bit p set where it is 0 (resp. 1) at p."""
+# Each value's code byte: 0, 1, or 2 for undefined; and the bit strings
+# that mark the codes of 0 and of 1.
+_CODES = {0: 0, 1: 1, None: 2}
+_VALUES = (0, 1, None)
+_ZERO_BITS = bytes.maketrans(b"\x00\x01\x02", b"100")
+_ONE_BITS = bytes.maketrans(b"\x00\x01\x02", b"010")
 
-    universe_size: int
-    concepts: tuple[tuple[int | None, ...], ...]
-    masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.universe_size < 0:
+class PartialConceptClass(Frozen):
+    """Concepts mapping universe points to 0, 1, or None (undefined).
+
+    Held as `masks`, each concept as a (zero, one) int pair, bit p set where
+    it is 0 (resp. 1) at p, made from one code byte per concept and point.
+    Built from value tuples it keeps them as `concepts`; built from codes
+    (`induce_partial_class`, `from_hypothesis_class`) it makes them on first
+    read. Equality, hashing and repr read the universe size and the
+    concepts, and the class is immutable, as a frozen dataclass of those two
+    fields would be."""
+
+    def __init__(self, universe_size: int, concepts: Iterable[Iterable[int | None]]) -> None:
+        if universe_size < 0:
             raise ValueError("universe size must be non-negative")
-        concepts = tuple(tuple(c) for c in self.concepts)
+        concepts = tuple(tuple(c) for c in concepts)
         if not concepts:
             raise ValueError("partial concept class must be non-empty")
-        masks = []
+        rows = []
         for i, c in enumerate(concepts):
-            if len(c) != self.universe_size:
+            if len(c) != universe_size:
                 raise ValueError(
-                    f"concept {i} has {len(c)} values, universe has {self.universe_size}"
+                    f"concept {i} has {len(c)} values, universe has {universe_size}"
                 )
-            zero = sum(1 << p for p, v in enumerate(c) if v == 0)
-            one = sum(1 << p for p, v in enumerate(c) if v == 1)
-            if (zero | one).bit_count() + c.count(None) != len(c):
-                raise ValueError(f"concept {i} takes values outside {{0, 1, None}}")
-            masks.append((zero, one))
-        object.__setattr__(self, "concepts", concepts)
-        object.__setattr__(self, "masks", tuple(masks))
+            try:
+                rows.append(bytes(map(_CODES.__getitem__, c)))
+            except (KeyError, TypeError):
+                raise ValueError(f"concept {i} takes values outside {{0, 1, None}}") from None
+        codes = b"".join(rows)
+        self._hold(len(concepts), [codes[p::universe_size] for p in range(universe_size)],
+                   concepts)
 
     @classmethod
-    def from_hypothesis_class(cls, hc: HypothesisClass) -> "PartialConceptClass":
+    def _from_columns(cls, count: int, columns: list[bytes]) -> PartialConceptClass:
+        """The class of `count` concepts whose concept i takes at point p the
+        value byte i of columns[p] codes."""
+        pcc = cls.__new__(cls)
+        pcc._hold(count, columns, None)
+        return pcc
+
+    def _hold(self, count: int, columns: list[bytes],
+              concepts: tuple[tuple[int | None, ...], ...] | None) -> None:
+        # most significant point first, so one strided slice per concept
+        # reads as a base-2 numeral
+        codes = b"".join(reversed(columns))
+        zeros, ones = codes.translate(_ZERO_BITS), codes.translate(_ONE_BITS)
+        masks = tuple(
+            (int(zeros[i::count], 2), int(ones[i::count], 2)) for i in range(count)
+        ) if columns else ((0, 0),) * count  # int() refuses an empty numeral
+        # two points are twins iff their columns are equal
+        self.__dict__.update(universe_size=len(columns), masks=masks,
+                             _columns=tuple(columns), _concepts=concepts)
+
+    @classmethod
+    def from_hypothesis_class(cls, hc: HypothesisClass) -> PartialConceptClass:
         """Total concepts: each hypothesis read as a concept over its instances."""
-        return cls(hc.space, tuple(h.labels for h in hc.members))
+        rows = b"".join([m.to_bytes(hc.space, "little") for m in hc.masks])
+        return cls._from_columns(len(hc), [rows[x::hc.space] for x in range(hc.space)])
+
+    @property
+    def concepts(self) -> tuple[tuple[int | None, ...], ...]:
+        if self._concepts is None:
+            codes, count = b"".join(self._columns), len(self.masks)
+            self.__dict__["_concepts"] = tuple(
+                tuple(map(_VALUES.__getitem__, codes[i::count])) for i in range(count)
+            )
+        return self._concepts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe_size, self.concepts) == (other.universe_size, other.concepts)
+
+    def __hash__(self) -> int:
+        return hash((self.universe_size, self.concepts))
+
+    def __repr__(self) -> str:
+        return (f"PartialConceptClass(universe_size={self.universe_size!r}, "
+                f"concepts={self.concepts!r})")
 
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -134,11 +188,11 @@ def induce_partial_class(
     # integer numerators: e > tau iff e > hi, and e < tau - alpha iff e < lo
     hi = math.floor(q.tau * m.denominator)
     lo = math.ceil((q.tau - q.alpha) * m.denominator)
-    concepts = [
-        tuple(1 if col[i] > hi else 0 if col[i] < lo else None for col in m.columns)
-        for i in range(m.rows)
-    ]
-    return PartialConceptClass(len(g), tuple(concepts))
+    columns = []
+    for col in m.columns:  # one code byte per hypothesis, worked out once per distinct error
+        code = {e: 1 if e > hi else 0 if e < lo else 2 for e in set(col)}
+        columns.append(bytes(map(code.__getitem__, col)))
+    return PartialConceptClass._from_columns(m.rows, columns)
 
 
 def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcResult:
@@ -201,8 +255,8 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
                 return True
         return False
 
-    first: dict[tuple[int | None, ...], int] = {}
-    for p, column in enumerate(zip(*pcc.concepts)):
+    first: dict[bytes, int] = {}
+    for p, column in enumerate(pcc._columns):
         first.setdefault(column, p)
     capped = visit((), [list(set(pcc.masks))], sum(1 << p for p in first.values()))
     return VcResult(len(best), best, not capped)
@@ -263,15 +317,16 @@ def verify_certificate(
         if not (0 <= w < len(hc)):
             raise CertificateError(f"certificate witness index {w} out of range")
     lo = q.tau - q.alpha
-    witnesses = [hc.members[w] for w in cert.witnesses]
+    # each witness's labels, byte x the label of point x; a witness becomes a
+    # `Hypothesis` only to score a restriction not seen before
+    rows = [hc.masks[w].to_bytes(hc.space, "little") for w in cert.witnesses]
     for t, j in enumerate(cert.domain_indices):
         d = g.domains[j]
         restrict = itemgetter(*d.support())
         verdicts: dict[object, int | None] = {}
-        for mask, h in enumerate(witnesses):
-            key = restrict(h.labels)
+        for mask, key in enumerate(map(restrict, rows)):
             if key not in verdicts:
-                e = domain_error(h, d)
+                e = domain_error(hc.member(cert.witnesses[mask]), d)
                 verdicts[key] = 0 if e < lo else 1 if e > q.tau else None
             if verdicts[key] != 1 - (mask >> t & 1):
                 return False

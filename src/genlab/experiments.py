@@ -49,6 +49,7 @@ from .dimensions import (
     partial_vc_dim,
 )
 from .learner import (
+    bucket_counts,
     draw_domain_indices,
     inverse_cdf,
     sample_size_for,
@@ -364,7 +365,8 @@ def _learn(
     The meta puts weights[i] on the domain of matrix column columns[i]. With
     `points` None the learner sees the drawn domains' exact errors; otherwise
     its mistakes on the points `sample_training_set` would draw, that many per
-    draw, counted per atom, with picks[c] the point sampler of column c.
+    draw, counted per atom by `bucket_counts` with picks[c] the point sampler
+    of column c.
     Returns the chosen hypothesis, its largest exact error over the drawn
     domains, its domain risk at tau, and the drawn meta indices.
     """
@@ -374,7 +376,7 @@ def _learn(
     else:
         uniforms = streams(derive_seeds(train_seed, "points", count=n))
         samples = {
-            matrix.mistakes(c, map(picks[c], islice(u, points)))
+            matrix.tally(c, enumerate(bucket_counts(picks[c], islice(u, points))))
             for c, u in zip((columns[j] for j in indices), uniforms)
         }
         hat, _ = argmin_max(samples)

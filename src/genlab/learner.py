@@ -8,14 +8,14 @@ weighted average instead.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, islice
-from operator import mul
-from typing import Callable, Sequence
+from operator import mul, sub
+from typing import Iterable, Sequence
 
 from .core import (
     ErrorMatrix,
@@ -83,18 +83,18 @@ class ErrorTable:
         return len(self.entries[0])
 
 
-def inverse_cdf(weights: Sequence[Fraction]) -> Callable[[float], int]:
+def inverse_cdf(weights: Sequence[Fraction]) -> partial[int]:
     """Inverse-CDF sampler over masses that are non-negative and sum to 1.
 
     The returned function maps a uniform variate u in [0, 1) to the first
     index k whose cumulative mass C_k/L strictly exceeds u, so zero-mass
-    buckets are never picked. It is `bisect_right` over float thresholds,
-    t_k the smallest double >= C_k/L: the int true division C_k/L rounds to
-    a nearest double, which steps up to the next double when it lies below
-    C_k/L. For every double u, u < C_k/L iff u < t_k. If u < C_k/L, then
-    u < C_k/L <= t_k. If u < t_k, then u < C_k/L, since otherwise u would be
-    a double >= C_k/L smaller than t_k. The last threshold is 1.0 exactly,
-    so every u in [0, 1) falls in a bucket.
+    buckets are never picked. It is `partial(bisect_right, thresholds)` over
+    float thresholds, t_k the smallest double >= C_k/L: the int true division
+    C_k/L rounds to a nearest double, which steps up to the next double when
+    it lies below C_k/L. For every double u, u < C_k/L iff u < t_k. If
+    u < C_k/L, then u < C_k/L <= t_k. If u < t_k, then u < C_k/L, since
+    otherwise u would be a double >= C_k/L smaller than t_k. The last
+    threshold is 1.0 exactly, so every u in [0, 1) falls in a bucket.
     """
     nums, den = unit_weights(weights, "sampler weights")
     thresholds = []
@@ -105,6 +105,17 @@ def inverse_cdf(weights: Sequence[Fraction]) -> Callable[[float], int]:
             t = math.nextafter(t, math.inf)
         thresholds.append(t)
     return partial(bisect_right, thresholds)
+
+
+def bucket_counts(pick: partial[int], uniforms: Iterable[float]) -> list[int]:
+    """How many of the uniforms the `inverse_cdf` sampler `pick` sends to each
+    bucket, counted on the sorted uniforms s with its thresholds t: bucket k
+    holds the u with t_{k-1} <= u < t_k, so its count is bisect_left(s, t_k)
+    - bisect_left(s, t_{k-1}), and a u equal to t_k falls in bucket k + 1 both
+    ways."""
+    drawn = sorted(uniforms)
+    cuts = [bisect_left(drawn, t) for t in pick.args[0]]
+    return list(map(sub, cuts, [0, *cuts]))
 
 
 _domain_sampler = lru_cache(maxsize=64)(inverse_cdf)

@@ -13,6 +13,7 @@ import re
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
@@ -103,7 +104,8 @@ def domain_from_dict(obj: dict[str, Any]) -> LabeledDistribution:
 
 def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
     """Labels are written as the ints 0 and 1, a bool label too, so the file reads back."""
-    return {"space": hc.space, "hypotheses": [list(bytes(h.labels)) for h in hc.members]}
+    rows = [list(m.to_bytes(hc.space, "little")) for m in hc.masks]
+    return {"space": hc.space, "hypotheses": rows}
 
 
 def _hypothesis(row: Any) -> Hypothesis:
@@ -115,6 +117,21 @@ def _hypothesis(row: Any) -> Hypothesis:
 
 
 def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
+    """A class object whose rows are lists of `space` JSON integers is read in
+    bulk: one type pass over all labels, `bytes` per row, and
+    `HypothesisClass.from_masks`, which checks every label and distinctness at
+    once. Any other object, and one that fails there, is read row by row, so
+    a refusal names the first bad row or label."""
+    try:
+        rows, space = obj["hypotheses"], obj["space"]
+        if (type(rows) is list and type(space) is int and set(map(type, rows)) == {list}
+                and set(map(type, chain.from_iterable(rows))) == {int}):
+            rows = [bytes(row) for row in rows]
+            if set(map(len, rows)) == {space}:
+                return HypothesisClass.from_masks(
+                    space, [int.from_bytes(row, "little") for row in rows])
+    except (KeyError, TypeError, ValueError):
+        pass  # the reader below names the fault
     try:
         members = tuple(map(_hypothesis, obj["hypotheses"]))
         return HypothesisClass(_int(obj["space"], "class space"), members)
@@ -290,6 +307,22 @@ def _staged(path: Path | str) -> Iterator[TextIO]:
 def write_text_atomic(path: Path | str, text: str) -> None:
     with _staged(path) as fh:
         fh.write(text)
+
+
+_LABEL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def write_hypothesis_class(path: Path | str, hc: HypothesisClass) -> None:
+    """Stream into place the class file that `write_json_atomic(path,
+    hypothesis_class_to_dict(hc))` writes, byte for byte, each row rendered
+    from its mask."""
+    with _staged(path) as fh:
+        head = '{\n  "hypotheses": [\n'
+        for m in hc.masks:
+            digits = m.to_bytes(hc.space, "little").translate(_LABEL_DIGITS).decode()
+            fh.write(head + "    [\n      " + ",\n      ".join(digits) + "\n    ]")
+            head = ",\n"
+        fh.write(f'\n  ],\n  "space": {hc.space}\n}}\n')
 
 
 def write_json_atomic(path: Path | str, obj: Any) -> None:
