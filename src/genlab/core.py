@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -36,7 +37,7 @@ class ConfigError(GenlabError):
 
 
 def _check_space(size: int) -> None:
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise ValueError(f"instance space size must be a positive integer, got {size!r}")
 
 
@@ -65,7 +66,7 @@ def unit_weights(weights: Iterable[Fraction], what: str) -> tuple[list[int], int
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A total binary labeling of the instance space."""
+    """A total binary labeling of the instance space, held as the ints 0 and 1."""
 
     labels: tuple[int, ...]
 
@@ -74,11 +75,12 @@ class Hypothesis:
         if len(labels) < 1:
             raise ValueError("hypothesis needs at least one instance")
         try:  # bytes() refuses a label that is not an int in 0..255
-            if bytes(labels).translate(None, b"\x00\x01"):
+            row = bytes(labels)
+            if row.translate(None, b"\x00\x01"):
                 raise ValueError
         except (TypeError, ValueError):
             raise ValueError("hypothesis labels must be 0 or 1") from None
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(row))
 
     @property
     def space(self) -> int:
@@ -102,11 +104,10 @@ class Frozen:
 class HypothesisClass(Frozen):
     """An ordered, duplicate-free collection of hypotheses on one space.
 
-    Held as `masks`, one int per member whose byte x holds the label of point
-    x. Built from `Hypothesis` objects it keeps them as `members`; built
-    `from_masks` it makes each member on first read. Equality, hashing and
-    repr read the space and the members, and the class is immutable, as a
-    frozen dataclass of those two fields would be."""
+    Held only as `space` and `masks`, one int per member whose byte x holds
+    the label of point x; `members` are made from the masks on first read.
+    Equality and hashing read the space and the masks, repr the members, and
+    the class is immutable, as a frozen dataclass of those two fields would be."""
 
     def __init__(self, space: int, members: Iterable[Hypothesis]) -> None:
         _check_space(space)
@@ -119,8 +120,7 @@ class HypothesisClass(Frozen):
                     f"member {i} labels {h.space} instances, class space is {space}"
                 )
         # every row has `space` labels here, so distinct rows give distinct masks
-        self._hold(space, tuple(int.from_bytes(bytes(h.labels), "little") for h in members),
-                   members)
+        self._hold(space, tuple(int.from_bytes(bytes(h.labels), "little") for h in members))
 
     @classmethod
     def from_masks(cls, space: int, masks: Iterable[int]) -> HypothesisClass:
@@ -135,34 +135,29 @@ class HypothesisClass(Frozen):
         if b"".join([m.to_bytes(space, "little") for m in masks]).translate(None, b"\x00\x01"):
             raise ValueError("hypothesis labels must be 0 or 1")
         hc = cls.__new__(cls)
-        hc._hold(space, masks, None)
+        hc._hold(space, masks)
         return hc
 
-    def _hold(self, space: int, masks: tuple[int, ...],
-              members: tuple[Hypothesis, ...] | None) -> None:
+    def _hold(self, space: int, masks: tuple[int, ...]) -> None:
         if len(set(masks)) != len(masks):
             raise ValueError("hypothesis class members must be pairwise distinct labelings")
-        self.__dict__.update(space=space, masks=masks, _members=members)
+        self.__dict__.update(space=space, masks=masks)
 
     def member(self, i: int) -> Hypothesis:
-        """Member i, made from its mask when the class holds no members."""
-        if self._members is not None:
-            return self._members[i]
+        """Member i, made from its mask."""
         return Hypothesis(tuple(self.masks[i].to_bytes(self.space, "little")))
 
-    @property
+    @cached_property
     def members(self) -> tuple[Hypothesis, ...]:
-        if self._members is None:
-            self.__dict__["_members"] = tuple(map(self.member, range(len(self.masks))))
-        return self._members
+        return tuple(map(self.member, range(len(self.masks))))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.space, self.members) == (other.space, other.members)
+        return (self.space, self.masks) == (other.space, other.masks)
 
     def __hash__(self) -> int:
-        return hash((self.space, self.members))
+        return hash((self.space, self.masks))
 
     def __repr__(self) -> str:
         return f"HypothesisClass(space={self.space!r}, members={self.members!r})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import itemgetter, or_
 from typing import Iterable, NamedTuple
 
@@ -40,15 +40,16 @@ _ONE_BITS = bytes.maketrans(b"\x00\x01\x02", b"010")
 class PartialConceptClass(Frozen):
     """Concepts mapping universe points to 0, 1, or None (undefined).
 
-    Held as `masks`, each concept as a (zero, one) int pair, bit p set where
-    it is 0 (resp. 1) at p, made from one code byte per concept and point.
-    Built from value tuples it keeps them as `concepts`; built from codes
-    (`induce_partial_class`, `from_hypothesis_class`) it makes them on first
-    read. Equality, hashing and repr read the universe size and the
-    concepts, and the class is immutable, as a frozen dataclass of those two
-    fields would be."""
+    Held only as `masks`, each concept as a (zero, one) int pair, bit p set
+    where it is 0 (resp. 1) at p, and as one code byte per concept and point,
+    a `bytes` column per point; `concepts` are made from the columns on first
+    read. Equality and hashing read the concept count and the columns, repr
+    the concepts, and the class is immutable, as a frozen dataclass of the
+    universe size and the concepts would be."""
 
     def __init__(self, universe_size: int, concepts: Iterable[Iterable[int | None]]) -> None:
+        if type(universe_size) is not int:
+            raise ValueError(f"universe size must be an int, got {universe_size!r}")
         if universe_size < 0:
             raise ValueError("universe size must be non-negative")
         concepts = tuple(tuple(c) for c in concepts)
@@ -65,29 +66,24 @@ class PartialConceptClass(Frozen):
             except (KeyError, TypeError):
                 raise ValueError(f"concept {i} takes values outside {{0, 1, None}}") from None
         codes = b"".join(rows)
-        self._hold(len(concepts), [codes[p::universe_size] for p in range(universe_size)],
-                   concepts)
+        self._hold(len(concepts), [codes[p::universe_size] for p in range(universe_size)])
 
     @classmethod
     def _from_columns(cls, count: int, columns: list[bytes]) -> PartialConceptClass:
         """The class of `count` concepts whose concept i takes at point p the
         value byte i of columns[p] codes."""
         pcc = cls.__new__(cls)
-        pcc._hold(count, columns, None)
+        pcc._hold(count, columns)
         return pcc
 
-    def _hold(self, count: int, columns: list[bytes],
-              concepts: tuple[tuple[int | None, ...], ...] | None) -> None:
+    def _hold(self, count: int, columns: list[bytes]) -> None:
         # most significant point first, so one strided slice per concept
-        # reads as a base-2 numeral
-        codes = b"".join(reversed(columns))
+        # reads as a base-2 numeral; a leading undefined row keeps it non-empty
+        codes = b"\x02" * count + b"".join(reversed(columns))
         zeros, ones = codes.translate(_ZERO_BITS), codes.translate(_ONE_BITS)
-        masks = tuple(
-            (int(zeros[i::count], 2), int(ones[i::count], 2)) for i in range(count)
-        ) if columns else ((0, 0),) * count  # int() refuses an empty numeral
+        masks = tuple((int(zeros[i::count], 2), int(ones[i::count], 2)) for i in range(count))
         # two points are twins iff their columns are equal
-        self.__dict__.update(universe_size=len(columns), masks=masks,
-                             _columns=tuple(columns), _concepts=concepts)
+        self.__dict__.update(universe_size=len(columns), masks=masks, _columns=tuple(columns))
 
     @classmethod
     def from_hypothesis_class(cls, hc: HypothesisClass) -> PartialConceptClass:
@@ -95,22 +91,18 @@ class PartialConceptClass(Frozen):
         rows = b"".join([m.to_bytes(hc.space, "little") for m in hc.masks])
         return cls._from_columns(len(hc), [rows[x::hc.space] for x in range(hc.space)])
 
-    @property
+    @cached_property
     def concepts(self) -> tuple[tuple[int | None, ...], ...]:
-        if self._concepts is None:
-            codes, count = b"".join(self._columns), len(self.masks)
-            self.__dict__["_concepts"] = tuple(
-                tuple(map(_VALUES.__getitem__, codes[i::count])) for i in range(count)
-            )
-        return self._concepts
+        codes, count = b"".join(self._columns), len(self.masks)
+        return tuple(tuple(map(_VALUES.__getitem__, codes[i::count])) for i in range(count))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.universe_size, self.concepts) == (other.universe_size, other.concepts)
+        return (len(self.masks), self._columns) == (len(other.masks), other._columns)
 
     def __hash__(self) -> int:
-        return hash((self.universe_size, self.concepts))
+        return hash((len(self.masks), self._columns))
 
     def __repr__(self) -> str:
         return (f"PartialConceptClass(universe_size={self.universe_size!r}, "

@@ -103,25 +103,17 @@ def domain_from_dict(obj: dict[str, Any]) -> LabeledDistribution:
 
 
 def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
-    """Labels are written as the ints 0 and 1, a bool label too, so the file reads back."""
+    """Each row lists one member's labels, the ints 0 and 1 read from its mask."""
     rows = [list(m.to_bytes(hc.space, "little")) for m in hc.masks]
     return {"space": hc.space, "hypotheses": rows}
-
-
-def _hypothesis(row: Any) -> Hypothesis:
-    """A class-file row; a list of JSON integers passes one C-level type check,
-    anything else is read label by label so `_int` names the bad one."""
-    if type(row) is list and set(map(type, row)) == {int}:
-        return Hypothesis(tuple(row))
-    return Hypothesis(tuple(_int(v, "hypothesis label") for v in row))
 
 
 def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
     """A class object whose rows are lists of `space` JSON integers is read in
     bulk: one type pass over all labels, `bytes` per row, and
     `HypothesisClass.from_masks`, which checks every label and distinctness at
-    once. Any other object, and one that fails there, is read row by row, so
-    a refusal names the first bad row or label."""
+    once. Any other object, and one that fails there, is read row by row and
+    label by label, so a refusal names the first bad row or label."""
     try:
         rows, space = obj["hypotheses"], obj["space"]
         if (type(rows) is list and type(space) is int and set(map(type, rows)) == {list}
@@ -133,7 +125,8 @@ def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
     except (KeyError, TypeError, ValueError):
         pass  # the reader below names the fault
     try:
-        members = tuple(map(_hypothesis, obj["hypotheses"]))
+        members = tuple(Hypothesis(tuple(_int(v, "hypothesis label") for v in row))
+                        for row in obj["hypotheses"])
         return HypothesisClass(_int(obj["space"], "class space"), members)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed hypothesis class object: {exc}") from exc

@@ -68,16 +68,31 @@ class TestStructures:
                 int.from_bytes(bytes(h.labels), "little") for h in hc.members
             )
 
-    def test_class_masks_stay_out_of_equality_hash_and_repr(self):
+    def test_class_equality_hash_order_and_repr(self):
         hc = HypothesisClass(2, [Hypothesis((0, 1)), Hypothesis((1, 1))])
         same = HypothesisClass(2, (Hypothesis((0, 1)), Hypothesis((1, 1))))
-        object.__setattr__(same, "masks", ())
         assert hc == same and hash(hc) == hash(same)
         assert hc != HypothesisClass(2, (Hypothesis((1, 1)), Hypothesis((0, 1))))
         assert repr(hc) == (
             "HypothesisClass(space=2, members=(Hypothesis(labels=(0, 1)), "
             "Hypothesis(labels=(1, 1))))"
         )
+
+    def test_hypothesis_holds_int_labels(self):
+        h = Hypothesis((True, 0))
+        assert h.labels == (1, 0) and list(map(type, h.labels)) == [int, int]
+        assert repr(h) == "Hypothesis(labels=(1, 0))"
+
+    @pytest.mark.parametrize("build", [
+        lambda: LabeledDistribution(True, (Atom(0, 0, F(1)),)),
+        lambda: HypothesisClass(True, (Hypothesis((0,)),)),
+        lambda: HypothesisClass.from_masks(True, [1]),
+        lambda: DomainFamily(True, ()),
+    ], ids=["distribution", "class", "class-from-masks", "family"])
+    def test_bool_space_sizes_are_refused(self, build):
+        with pytest.raises(ValueError,
+                           match="^instance space size must be a positive integer, got True$"):
+            build()
 
     def test_distribution_canonical_order(self):
         a = LabeledDistribution(3, (Atom(2, 1, F(1, 2)), Atom(0, 0, F(1, 2))))

@@ -381,12 +381,17 @@ class TestRefusalMessages:
     @pytest.mark.parametrize("build, error, message", [
         (lambda q: PartialConceptClass(-1, ((),)), ValueError,
          "^universe size must be non-negative$"),
+        (lambda q: PartialConceptClass(2.0, ((0, 1),)), ValueError,
+         r"^universe size must be an int, got 2\.0$"),
+        (lambda q: PartialConceptClass(True, ((0,),)), ValueError,
+         "^universe size must be an int, got True$"),
         (lambda q: induce_partial_class(q.HC3, q.FAMILY2, q.QUERY), SpaceMismatchError,
          "^class space 3 != family space 2$"),
         (lambda q: verify_certificate(
             ShatteringCertificate((0,), (0, 0)), q.HC3, q.FAMILY2, q.QUERY),
          SpaceMismatchError, "^class space 3 != family space 2$"),
-    ], ids=["universe-negative", "induce-space", "verify-space"])
+    ], ids=["universe-negative", "universe-float", "universe-bool", "induce-space",
+            "verify-space"])
     def test_message(self, build, error, message):
         with pytest.raises(error, match=message):
             build(self)

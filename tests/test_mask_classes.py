@@ -9,7 +9,8 @@ mutant kind in the first, middle and last row), `induce_partial_class` and
 all-undefined concepts and an empty family included), the constructions'
 mask builders, the class-file writer against `json.dump`, the flipped
 mixtures of `lower_bound_family` and the counted point sampler of the
-empirical learner.
+empirical learner. Equality and hashing read the masks and columns alone, so
+they leave `members` and `concepts` unmade.
 """
 import copy
 import io
@@ -43,6 +44,7 @@ from genlab import (
     induce_partial_class,
     large_k_family,
     large_k_lower_bound,
+    load_hypothesis_class,
     mix,
     partial_vc_dim,
     product_family,
@@ -336,6 +338,43 @@ def test_induce_on_the_shattered_families():
     q = DimensionQuery(lbf.tau, lbf.alpha)
     fast = induce_partial_class(lbf.hypothesis_class, lbf.extended_family, q)
     assert_twin_classes(fast, frozen_induce(lbf.hypothesis_class, lbf.extended_family, q))
+
+
+# Equality and hashing read the masks alone.
+
+def test_loaded_classes_compare_and_hash_on_their_masks(tmp_path):
+    hc, _ = product_family(large_k_family(F(1, 20)), 2)
+    write_hypothesis_class(tmp_path / "class.json", hc)
+    a, b = (load_hypothesis_class(tmp_path / "class.json") for _ in range(2))
+    assert a == b and hash(a) == hash(b) and a == hc
+    assert set(vars(a)) == set(vars(b)) == {"space", "masks"}
+    assert a.members == hc.members and "members" in vars(a)
+
+
+def test_tuple_built_partial_classes_compare_and_hash_on_their_columns():
+    rng = random.Random(24011)
+    for _ in range(100):
+        space = rng.randint(1, 6)
+        hc = random_class(rng, space, rng.randint(1, 12))
+        g = DomainFamily(space, tuple(random_domain(rng, space)
+                                      for _ in range(rng.randint(0, 5))))
+        q = random_query(rng)
+        values = induce_partial_class(hc, g, q).concepts
+        totals = tuple(h.labels for h in hc.members)
+        builds = [(lambda: induce_partial_class(hc, g, q), len(g), values),
+                  (lambda: PartialConceptClass.from_hypothesis_class(hc), space, totals)]
+        for build, size, concepts in builds:
+            as_bools = tuple(tuple(None if v is None else bool(v) for v in c) for c in concepts)
+            for tuple_built in (PartialConceptClass(size, concepts),
+                                PartialConceptClass(size, as_bools)):
+                built = build()
+                assert tuple_built == built and built == tuple_built
+                assert hash(tuple_built) == hash(built)
+                assert "concepts" not in vars(tuple_built) and "concepts" not in vars(built)
+                assert repr(tuple_built) == repr(built)
+    empty = PartialConceptClass(0, ((),))
+    assert empty != PartialConceptClass(0, ((), ())) and hash(empty) == hash(empty)
+    assert PartialConceptClass(1, ((0,), (1,))) != PartialConceptClass(1, ((1,), (0,)))
 
 
 def test_total_classes_match_tuple_version():
