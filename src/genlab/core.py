@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -64,14 +63,54 @@ def unit_weights(weights: Iterable[Fraction], what: str) -> tuple[list[int], int
     return nums, den
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Frozen:
+    """Base of genlab's checked values. A subclass's `__init__` checks its
+    arguments and stores them with `_set`. Equality, hashing and repr read
+    the fields named in `_key`, and assigning or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`, as a frozen dataclass of those fields
+    would. That error is imported only when raised, so that loading genlab
+    does not load `dataclasses`."""
+
+    _key: tuple[str, ...] = ()
+
+    def _set(self, **values: object) -> None:
+        # object's own setattr, as reading or filling `__dict__` would make
+        # each instance a full dict, about twice the memory of its attributes
+        store = super().__setattr__
+        for name, value in values.items():
+            store(name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, k) for k in self._key])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._key, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Hypothesis(Frozen):
     """A total binary labeling of the instance space, held as the ints 0 and 1."""
 
-    labels: tuple[int, ...]
+    _key = ("labels",)
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+    def __init__(self, labels: Iterable[int]) -> None:
+        labels = tuple(labels)
         if len(labels) < 1:
             raise ValueError("hypothesis needs at least one instance")
         try:  # bytes() refuses a label that is not an int in 0..255
@@ -80,7 +119,7 @@ class Hypothesis:
                 raise ValueError
         except (TypeError, ValueError):
             raise ValueError("hypothesis labels must be 0 or 1") from None
-        object.__setattr__(self, "labels", tuple(row))
+        self._set(labels=tuple(row))
 
     @property
     def space(self) -> int:
@@ -90,24 +129,14 @@ class Hypothesis:
         return self.labels[x]
 
 
-class Frozen:
-    """Refuses to assign or delete attributes, as a frozen dataclass does; a
-    subclass fills its `__dict__` directly."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 class HypothesisClass(Frozen):
     """An ordered, duplicate-free collection of hypotheses on one space.
 
     Held only as `space` and `masks`, one int per member whose byte x holds
     the label of point x; `members` are made from the masks on first read.
-    Equality and hashing read the space and the masks, repr the members, and
-    the class is immutable, as a frozen dataclass of those two fields would be."""
+    Equality and hashing read the space and the masks, repr the members."""
+
+    _key = ("space", "masks")
 
     def __init__(self, space: int, members: Iterable[Hypothesis]) -> None:
         _check_space(space)
@@ -141,7 +170,7 @@ class HypothesisClass(Frozen):
     def _hold(self, space: int, masks: tuple[int, ...]) -> None:
         if len(set(masks)) != len(masks):
             raise ValueError("hypothesis class members must be pairwise distinct labelings")
-        self.__dict__.update(space=space, masks=masks)
+        self._set(space=space, masks=masks)
 
     def member(self, i: int) -> Hypothesis:
         """Member i, made from its mask."""
@@ -150,14 +179,6 @@ class HypothesisClass(Frozen):
     @cached_property
     def members(self) -> tuple[Hypothesis, ...]:
         return tuple(map(self.member, range(len(self.masks))))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.masks) == (other.space, other.masks)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.masks))
 
     def __repr__(self) -> str:
         return f"HypothesisClass(space={self.space!r}, members={self.members!r})"
@@ -174,31 +195,28 @@ class Atom(NamedTuple):
     mass: Fraction
 
 
-@dataclass(frozen=True)
-class LabeledDistribution:
+class LabeledDistribution(Frozen):
     """A finite distribution over labeled instances (a "domain").
 
     Atoms are canonicalized: integer points and labels sorted by (x, y),
     strictly positive masses, masses sum to exactly 1. Equality is therefore
     canonical equality. `weighted` holds each atom as (x, y, mass numerator
-    over `denominator`), the LCM of the atoms' mass denominators.
+    over `denominator`), the LCM of the atoms' mass denominators; neither
+    enters equality, hashing or repr.
     """
 
-    space: int
-    atoms: tuple[Atom, ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    weighted: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _key = ("space", "atoms")
 
-    def __post_init__(self) -> None:
-        _check_space(self.space)
-        raw = tuple(self.atoms)
+    def __init__(self, space: int, atoms: Iterable[Atom]) -> None:
+        _check_space(space)
+        raw = tuple(atoms)
         nums, den = unit_weights([m for _, _, m in raw], "atom masses")
         seen: set[tuple[int, int]] = set()
         for (x, y, _), w in zip(raw, nums):
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"atom instance and label must be integers, got {(x, y)!r}")
-            if not (0 <= x < self.space):
-                raise ValueError(f"atom instance {x} outside space of size {self.space}")
+            if not (0 <= x < space):
+                raise ValueError(f"atom instance {x} outside space of size {space}")
             if y not in (0, 1):
                 raise ValueError(f"atom label must be 0 or 1, got {y}")
             if not w:
@@ -209,65 +227,58 @@ class LabeledDistribution:
         # (x, y) pairs are distinct, so the sorts never compare masses
         atoms = tuple(sorted(Atom(x, y, m if type(m) is Fraction else Fraction(m)) for x, y, m in raw))
         weighted = tuple(sorted((x, y, w) for (x, y, _), w in zip(raw, nums)))
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "weighted", weighted)
+        self._set(space=space, atoms=atoms, denominator=den, weighted=weighted)
 
     def support(self) -> tuple[int, ...]:
         """Distinct instances carrying mass, ascending."""
         return tuple(sorted({a.x for a in self.atoms}))
 
 
-@dataclass(frozen=True)
-class DomainFamily:
+class DomainFamily(Frozen):
     """An ordered list of domains sharing one instance space. May be empty."""
 
-    space: int
-    domains: tuple[LabeledDistribution, ...]
+    _key = ("space", "domains")
 
-    def __post_init__(self) -> None:
-        _check_space(self.space)
-        domains = tuple(self.domains)
+    def __init__(self, space: int, domains: Iterable[LabeledDistribution]) -> None:
+        _check_space(space)
+        domains = tuple(domains)
         for i, d in enumerate(domains):
-            if d.space != self.space:
+            if d.space != space:
                 raise SpaceMismatchError(
-                    f"domain {i} has space {d.space}, family space is {self.space}"
+                    f"domain {i} has space {d.space}, family space is {space}"
                 )
-        object.__setattr__(self, "domains", domains)
+        self._set(space=space, domains=domains)
 
     def __len__(self) -> int:
         return len(self.domains)
 
 
-@dataclass(frozen=True)
-class MetaDistribution:
+class MetaDistribution(Frozen):
     """A distribution over a domain family: weight i is the mass of domain i."""
 
-    family: DomainFamily
-    weights: tuple[Fraction, ...]
+    _key = ("family", "weights")
 
-    def __post_init__(self) -> None:
-        weights = tuple(self.weights)
-        if len(weights) != len(self.family):
+    def __init__(self, family: DomainFamily, weights: Iterable[Fraction]) -> None:
+        weights = tuple(weights)
+        if len(weights) != len(family):
             raise ValueError(
-                f"{len(weights)} weights for {len(self.family)} domains"
+                f"{len(weights)} weights for {len(family)} domains"
             )
         unit_weights(weights, "weights")
-        object.__setattr__(self, "weights", tuple(map(Fraction, weights)))
+        self._set(family=family, weights=tuple(map(Fraction, weights)))
 
     def support(self) -> tuple[int, ...]:
         """Indices of domains with positive weight."""
         return tuple(i for i, w in enumerate(self.weights) if w > 0)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(Frozen):
     """A finite sequence of labeled points drawn from some domain."""
 
-    points: tuple[tuple[int, int], ...]
+    _key = ("points",)
 
-    def __post_init__(self) -> None:
-        points = tuple((x, y) for (x, y) in self.points)
+    def __init__(self, points: Iterable[tuple[int, int]]) -> None:
+        points = tuple((x, y) for (x, y) in points)
         for x, y in points:
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"sample points must be integer pairs, got {(x, y)!r}")
@@ -275,7 +286,7 @@ class LabeledSample:
                 raise ValueError("sample instances must be non-negative")
             if y not in (0, 1):
                 raise ValueError("sample labels must be 0 or 1")
-        object.__setattr__(self, "points", points)
+        self._set(points=points)
 
     def __len__(self) -> int:
         return len(self.points)

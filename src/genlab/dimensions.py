@@ -9,7 +9,6 @@ by an explicit witness map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import itemgetter, or_
@@ -33,6 +32,7 @@ DEFAULT_SEARCH_CAP = 20
 # that mark the codes of 0 and of 1.
 _CODES = {0: 0, 1: 1, None: 2}
 _VALUES = (0, 1, None)
+_VALUE_TYPES = {int, bool, type(None)}
 _ZERO_BITS = bytes.maketrans(b"\x00\x01\x02", b"100")
 _ONE_BITS = bytes.maketrans(b"\x00\x01\x02", b"010")
 
@@ -43,9 +43,11 @@ class PartialConceptClass(Frozen):
     Held only as `masks`, each concept as a (zero, one) int pair, bit p set
     where it is 0 (resp. 1) at p, and as one code byte per concept and point,
     a `bytes` column per point; `concepts` are made from the columns on first
-    read. Equality and hashing read the concept count and the columns, repr
-    the concepts, and the class is immutable, as a frozen dataclass of the
-    universe size and the concepts would be."""
+    read. Equality and hashing read the masks and the columns, which fix the
+    concept count and every value, and repr the concepts. A value is an int
+    0 or 1 (a bool is read as its int) or None for undefined."""
+
+    _key = ("masks", "_columns")
 
     def __init__(self, universe_size: int, concepts: Iterable[Iterable[int | None]]) -> None:
         if type(universe_size) is not int:
@@ -61,10 +63,10 @@ class PartialConceptClass(Frozen):
                 raise ValueError(
                     f"concept {i} has {len(c)} values, universe has {universe_size}"
                 )
-            try:
-                rows.append(bytes(map(_CODES.__getitem__, c)))
-            except (KeyError, TypeError):
-                raise ValueError(f"concept {i} takes values outside {{0, 1, None}}") from None
+            # types first: 1.0 and 0.0 equal keys of _CODES
+            if not (set(map(type, c)) <= _VALUE_TYPES and set(c) <= _CODES.keys()):
+                raise ValueError(f"concept {i} takes values outside {{0, 1, None}}")
+            rows.append(bytes(map(_CODES.__getitem__, c)))
         codes = b"".join(rows)
         self._hold(len(concepts), [codes[p::universe_size] for p in range(universe_size)])
 
@@ -83,7 +85,7 @@ class PartialConceptClass(Frozen):
         zeros, ones = codes.translate(_ZERO_BITS), codes.translate(_ONE_BITS)
         masks = tuple((int(zeros[i::count], 2), int(ones[i::count], 2)) for i in range(count))
         # two points are twins iff their columns are equal
-        self.__dict__.update(universe_size=len(columns), masks=masks, _columns=tuple(columns))
+        self._set(universe_size=len(columns), masks=masks, _columns=tuple(columns))
 
     @classmethod
     def from_hypothesis_class(cls, hc: HypothesisClass) -> PartialConceptClass:
@@ -96,14 +98,6 @@ class PartialConceptClass(Frozen):
         codes, count = b"".join(self._columns), len(self.masks)
         return tuple(tuple(map(_VALUES.__getitem__, codes[i::count])) for i in range(count))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (len(self.masks), self._columns) == (len(other.masks), other._columns)
-
-    def __hash__(self) -> int:
-        return hash((len(self.masks), self._columns))
-
     def __repr__(self) -> str:
         return (f"PartialConceptClass(universe_size={self.universe_size!r}, "
                 f"concepts={self.concepts!r})")
@@ -112,26 +106,21 @@ class PartialConceptClass(Frozen):
         return len(self.masks)
 
 
-@dataclass(frozen=True)
-class DimensionQuery:
+class DimensionQuery(Frozen):
     """Thresholds for a shattering question, ints or Fractions: 0 <= alpha < tau <= 1."""
 
-    tau: Fraction
-    alpha: Fraction
-    size_cap: int | None = None
+    _key = ("tau", "alpha", "size_cap")
 
-    def __post_init__(self) -> None:
-        tau, alpha = map(Fraction, exact_values((self.tau, self.alpha), "tau and alpha"))
+    def __init__(self, tau: Fraction, alpha: Fraction, size_cap: int | None = None) -> None:
+        tau, alpha = map(Fraction, exact_values((tau, alpha), "tau and alpha"))
         if not (0 <= alpha < tau <= 1):
             raise ValueError(f"need 0 <= alpha < tau <= 1, got alpha={alpha}, tau={tau}")
-        if self.size_cap is not None and (type(self.size_cap) is not int or self.size_cap < 1):
+        if size_cap is not None and (type(size_cap) is not int or size_cap < 1):
             raise ValueError("size cap must be a positive integer")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "alpha", alpha)
+        self._set(tau=tau, alpha=alpha, size_cap=size_cap)
 
 
-@dataclass(frozen=True)
-class ShatteringCertificate:
+class ShatteringCertificate(Frozen):
     """Witnessed shattering of an ordered set of domain indices.
 
     witnesses[mask] is a hypothesis index for the subset E = {domain_indices[t]
@@ -139,12 +128,11 @@ class ShatteringCertificate:
     and strictly above tau on the rest of the set.
     """
 
-    domain_indices: tuple[int, ...]
-    witnesses: tuple[int, ...]
+    _key = ("domain_indices", "witnesses")
 
-    def __post_init__(self) -> None:
-        idx = tuple(self.domain_indices)
-        wit = tuple(self.witnesses)
+    def __init__(self, domain_indices: Iterable[int], witnesses: Iterable[int]) -> None:
+        idx = tuple(domain_indices)
+        wit = tuple(witnesses)
         for v in idx + wit:
             if type(v) is not int:
                 raise CertificateError(f"certificate entries must be integers, got {v!r}")
@@ -154,8 +142,7 @@ class ShatteringCertificate:
             raise CertificateError(
                 f"certificate needs {1 << len(idx)} witnesses, got {len(wit)}"
             )
-        object.__setattr__(self, "domain_indices", idx)
-        object.__setattr__(self, "witnesses", wit)
+        self._set(domain_indices=idx, witnesses=wit)
 
 
 class VcResult(NamedTuple):

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Atom,
     ConstructionError,
     DomainFamily,
     ErrorMatrix,
+    Frozen,
     HypothesisClass,
     LabeledDistribution,
     SpaceMismatchError,
@@ -34,39 +34,36 @@ class EmptyQualifyingSetWarning(UserWarning):
     """No hypothesis has error <= tau on either domain; divergence defined as 0."""
 
 
-@dataclass(frozen=True)
-class DivergenceQuery:
+class DivergenceQuery(Frozen):
     """tau=None compares over the whole class; otherwise only hypotheses with
     min(error on d1, error on d2) <= tau, an int or a `Fraction`, enter the sup."""
 
-    tau: Fraction | None = None
+    _key = ("tau",)
 
-    def __post_init__(self) -> None:
-        if self.tau is not None:
-            tau = Fraction(*exact_values((self.tau,), "divergence tau"))
+    def __init__(self, tau: Fraction | None = None) -> None:
+        if tau is not None:
+            tau = Fraction(*exact_values((tau,), "divergence tau"))
             if not (0 <= tau <= 1):
                 raise ValueError(f"tau must lie in [0, 1], got {tau}")
-            object.__setattr__(self, "tau", tau)
+        self._set(tau=tau)
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Frozen):
     """Int center indices into a family; every member sits within `radius` of one."""
 
-    center_indices: tuple[int, ...]
-    radius: Fraction
-    query: DivergenceQuery
+    _key = ("center_indices", "radius", "query")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center_indices", tuple(self.center_indices))
-        if any(type(c) is not int or c < 0 for c in self.center_indices):
+    def __init__(self, center_indices: Iterable[int], radius: Fraction,
+                 query: DivergenceQuery) -> None:
+        center_indices = tuple(center_indices)
+        if any(type(c) is not int or c < 0 for c in center_indices):
             raise ValueError(
-                f"cover center indices must be non-negative ints, got {self.center_indices}"
+                f"cover center indices must be non-negative ints, got {center_indices}"
             )
-        radius = Fraction(*exact_values((self.radius,), "cover radius"))
+        radius = Fraction(*exact_values((radius,), "cover radius"))
         if radius < 0:
             raise ValueError(f"cover radius must be non-negative, got {radius}")
-        object.__setattr__(self, "radius", radius)
+        self._set(center_indices=center_indices, radius=radius, query=query)
 
 
 def h_divergence(

@@ -432,10 +432,10 @@ class TestDivergenceCommands:
 
 class TestEntryPoint:
     @staticmethod
-    def loaded_modules(code):
-        """The genlab modules a fresh interpreter holds after running `code`."""
+    def loaded_modules(code, package="genlab"):
+        """The modules of `package` a fresh interpreter holds after running `code`."""
         env = {**os.environ, "PYTHONPATH": str(Path(genlab.__file__).parents[1])}
-        code += "; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'genlab'))"
+        code += f"; print(*sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))"
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         return set(out.splitlines()[-1].split())
@@ -451,6 +451,17 @@ class TestEntryPoint:
         loaded = self.loaded_modules(f"import sys, genlab.cli; genlab.cli.main({argv!r})")
         assert "genlab.dimensions" in loaded
         assert not loaded & {"genlab.learner", "genlab.divergence", "genlab.seeding"}
+
+    def test_chain_commands_load_no_dataclasses(self, tmp_path, capsys):
+        run(capsys, "construct", "product", "--alpha", "1/50", "--d", "2", "--out-dir", str(tmp_path))
+        files = ["--class", str(tmp_path / "class.json"), "--domains", str(tmp_path / "family.json")]
+        query = ["--tau", "3/10", "--alpha", "1/50"]
+        cert = str(tmp_path / "cert.json")
+        for argv in (["gdim", *files, *query, "--cert-out", cert],
+                     ["verify-cert", *files, "--cert", cert, *query],
+                     ["cover", *files, "--radius", "1/100", "--tau", "3/10"]):
+            code = f"import sys, genlab.cli; assert genlab.cli.main({argv!r}) == 0"
+            assert self.loaded_modules(code, "dataclasses") == set(), argv[0]
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

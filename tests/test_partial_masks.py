@@ -79,9 +79,11 @@ def test_restriction_count_matches_tuple_traces():
 
 
 def test_accepted_and_refused_values():
-    pcc = PartialConceptClass(3, ((True, 0.0, None), (None, 1, False)))
+    pcc = PartialConceptClass(3, ((True, 0, None), (None, 1, False)))
     assert pcc.masks == ((0b010, 0b001), (0b100, 0b010))
-    for bad in (2, "x", 0.5):
+    assert pcc.concepts == ((1, 0, None), (None, 1, 0))
+    assert {type(v) for c in pcc.concepts for v in c} == {int, type(None)}
+    for bad in (2, "x", 0.5, 0.0, 1.0, -0.0):
         with pytest.raises(ValueError, match=r"^concept 1 takes values outside \{0, 1, None\}$"):
             PartialConceptClass(2, ((0, 1), (None, bad)))
 
