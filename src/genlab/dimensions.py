@@ -174,17 +174,22 @@ def induce_partial_class(
     return PartialConceptClass._from_columns(m.rows, columns)
 
 
+def _bits(column: bytes, table: bytes) -> int:
+    """A code column as an int, bit i set where `table` maps byte i to b"1"."""
+    return int(column[::-1].translate(table), 2)
+
+
 def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcResult:
     """Largest shattered point set, by depth-first search with pruning.
 
-    Each distinct concept is held as two ints over the points, the mask where
-    it is 0 and the mask where it is 1; it is defined where either bit is set.
-    A set is shattered when the concepts defined on it leave all 2^|set| zero
-    patterns on it. Every subset of a shattered set is shattered, so the search
-    visits shattered sets only, depth first in lexicographic preorder. A node
-    carries the concepts defined on its set, grouped by zero pattern, and the
-    points after its largest one that extend it to a shattered set: p extends
-    it iff every group holds a concept that is 0 at p and one that is 1 at p.
+    Each point p is held as two ints over the concepts, `zeros[p]` with bit i
+    set where concept i is 0 at p and `ones[p]` where it is 1. A set is
+    shattered when the concepts defined on it leave all 2^|set| zero patterns
+    on it. Every subset of a shattered set is shattered, so the search visits
+    shattered sets only, depth first in lexicographic preorder. A node carries
+    the distinct concepts defined on its set as one int per zero pattern on it,
+    and the points after its largest one that extend it to a shattered set: p
+    extends it iff every group g meets `zeros[p]` and `ones[p]`, which split g.
     With `target` one more than the largest size found so far, a node's subtree
     is pruned when
       - its size plus its extensions still to be tried is below `target`;
@@ -205,9 +210,10 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
         raise ValueError("size cap must be a positive integer")
     cap = DEFAULT_SEARCH_CAP if size_cap is None else size_cap
     best: tuple[int, ...] = ()
+    zeros = [_bits(column, _ZERO_BITS) for column in pcc._columns]
+    ones = [_bits(column, _ONE_BITS) for column in pcc._columns]
 
-    def visit(points: tuple[int, ...], groups: list[list[tuple[int, int]]],
-              candidates: int) -> bool:
+    def visit(points: tuple[int, ...], groups: list[int], candidates: list[int]) -> bool:
         # `points` is shattered and `groups` holds the concepts defined on it,
         # one group per zero pattern on it; True once a set of size `cap` is found
         nonlocal best
@@ -217,44 +223,39 @@ def partial_vc_dim(pcc: PartialConceptClass, size_cap: int | None = None) -> VcR
             if size == cap:
                 return True
         target = len(best) + 1
-        if min(map(len, groups)) < 1 << (target - size):
+        if min(map(int.bit_count, groups)) < 1 << (target - size):
             return False
-        # p extends the set iff every group has a concept 0 at p and one 1 at p
-        rest = candidates
-        for g in groups:
-            rest &= reduce(or_, [z for z, _ in g]) & reduce(or_, [o for _, o in g])
-        while rest and size + rest.bit_count() > len(best):
-            bit = rest & -rest
-            rest ^= bit
-            split: list[list[tuple[int, int]]] = []
-            for g in groups:
-                split.append([c for c in g if c[0] & bit])
-                split.append([c for c in g if c[1] & bit])
-            if visit(points + (bit.bit_length() - 1,), split, rest):
+        extensions = [p for p in candidates
+                      if all(g & zeros[p] and g & ones[p] for g in groups)]
+        for k, p in enumerate(extensions):
+            if size + len(extensions) - k <= len(best):
+                break
+            split = [h for g in groups for h in (g & zeros[p], g & ones[p])]
+            if visit(points + (p,), split, extensions[k + 1:]):
                 return True
         return False
 
+    distinct: dict[tuple[int, int], int] = {}
+    for i, masks in enumerate(pcc.masks):
+        distinct.setdefault(masks, i)
     first: dict[bytes, int] = {}
     for p, column in enumerate(pcc._columns):
         first.setdefault(column, p)
-    capped = visit((), [list(set(pcc.masks))], sum(1 << p for p in first.values()))
+    capped = visit((), [sum(1 << i for i in distinct.values())], list(first.values()))
     return VcResult(len(best), best, not capped)
 
 
 def _witnesses(pcc: PartialConceptClass, points: tuple[int, ...]) -> tuple[int, ...]:
-    """The lowest concept index with each zero pattern on `points`, collected in
-    one pass over the concepts that stops once every pattern has appeared."""
-    spread = [0]  # spread[t]: the mask of the points[k] with bit k of t set
-    for p in points:
-        spread += [s | 1 << p for s in spread]
-    on = spread[-1]
-    first: dict[int, int] = {}
-    for i, (zero, one) in enumerate(pcc.masks):
-        if (zero | one) & on == on:
-            first.setdefault(zero & on, i)
-            if len(first) == len(spread):
-                return tuple(map(first.__getitem__, spread))
-    raise AssertionError("shattered set lost a witness; search is inconsistent")
+    """The lowest concept index with each zero pattern on `points`: from all the
+    concepts, each of `points`, last to first, splits every group g in order
+    into `g & ones[p]` and `g & zeros[p]`, so group t has zero pattern t."""
+    groups = [(1 << len(pcc.masks)) - 1]
+    for p in reversed(points):
+        zero, one = (_bits(pcc._columns[p], table) for table in (_ZERO_BITS, _ONE_BITS))
+        groups = [h for g in groups for h in (g & one, g & zero)]
+    if not all(groups):
+        raise AssertionError("shattered set lost a witness; search is inconsistent")
+    return tuple((g & -g).bit_length() - 1 for g in groups)
 
 
 def gdim(hc: HypothesisClass, g: DomainFamily, q: DimensionQuery) -> GdimResult:
@@ -265,10 +266,8 @@ def gdim(hc: HypothesisClass, g: DomainFamily, q: DimensionQuery) -> GdimResult:
     searches depth first in lexicographic preorder with its two prunes, and
     the certificate covers the lex-first maximum shattered set of domains. At
     `q.size_cap` the dimension equals the cap, `exact` is False and the set is
-    the lex-first shattered set of that size. Witnesses come from one pass over
-    the hypotheses in index order that keeps the first one with each pattern
-    and stops once all 2^|set| patterns have appeared, so each subset's
-    witness is the lowest-index hypothesis realizing it.
+    the lex-first shattered set of that size. Each subset's witness is the
+    lowest-index hypothesis realizing it, read off `_witnesses`' splits.
     """
     pcc = induce_partial_class(hc, g, q)
     vc = partial_vc_dim(pcc, q.size_cap)

@@ -4,7 +4,8 @@
 breadth-first search and the per-mask witness scan that the depth-first search
 replaced; `oracle_vc_dim` enumerates every point set of each size. Both must
 give the same `VcResult` as `partial_vc_dim`, and `gdim` must give the same
-certificate as the breadth-first witnesses.
+certificate as the breadth-first witnesses, also on the 512-hypothesis
+product class, whose witnesses are not in index order.
 """
 import itertools
 import random
@@ -22,7 +23,9 @@ from genlab import (
     VcResult,
     gdim,
     induce_partial_class,
+    large_k_family,
     partial_vc_dim,
+    product_family,
     verify_certificate,
 )
 from genlab.dimensions import DEFAULT_SEARCH_CAP
@@ -198,3 +201,20 @@ def test_random_structure_with_twenty_domains():
         pcc = induce_partial_class(hc, g, q)
         assert partial_vc_dim(pcc, cap) == bfs_vc_dim(pcc, cap) == oracle_vc_dim(pcc, cap)
         check_gdim(hc, g, q, pcc)
+
+
+def product_structure():
+    """The class and family that `construct product --alpha 1/50 --d 3`
+    writes: 512 hypotheses and 9 domains."""
+    return product_family(large_k_family(F(1, 50)), 3)
+
+
+def test_product_structure_certificate():
+    hc, g = product_structure()
+    for cap in (2, None):
+        q = DimensionQuery(F(3, 10), F(1, 50), cap)
+        check_gdim(hc, g, q, induce_partial_class(hc, g, q))
+    # all 9 domains are shattered, so the 512 witnesses are the 512 hypotheses
+    cert = gdim(hc, g, q).certificate
+    assert cert.domain_indices == tuple(range(9))
+    assert sorted(cert.witnesses) == list(range(512))

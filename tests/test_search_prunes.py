@@ -2,12 +2,15 @@
 
 `dfs_with_count_prune` is a frozen copy of `partial_vc_dim` as it stood when
 it also pruned a node whose set has fewer than 2^target concepts defined on
-it. A node of size s holds 2^s non-empty groups, so such a node has a group
-of fewer than 2^(target - s) concepts and the per-pattern prune fires there
-too. The copy asserts that at every node where the count prune fires, and
+it, and when it held each group as a list of (zero, one) mask pairs: it is
+the reference for that layout, which the search on per-point bit columns
+replaced. A node of size s holds 2^s non-empty groups, so such a node has a
+group of fewer than 2^(target - s) concepts and the per-pattern prune fires
+there too. The copy asserts that at every node where the count prune fires, and
 counts the nodes it visits with and without the count prune: the counts and
 the `VcResult`s agree, and `partial_vc_dim` gives the same result, on seeded
-classes of 40-80 points, larger than the search fixtures.
+classes of 40-80 points, larger than the search fixtures, on induced random
+structures of up to 150 domains, and on the 512-concept product class.
 """
 import random
 from fractions import Fraction
@@ -16,9 +19,9 @@ from operator import or_
 
 from genlab import DimensionQuery, PartialConceptClass, VcResult, induce_partial_class, partial_vc_dim
 from genlab.dimensions import DEFAULT_SEARCH_CAP
-from test_search import random_structure
+from test_search import product_structure, random_structure
 
-CAPS = (None, 2, 3, 4)
+CAPS = (None, 1, 2, 3, 4)
 
 
 def dfs_with_count_prune(pcc, size_cap=None, count_prune=True):
@@ -95,12 +98,16 @@ def test_count_prune_changes_nothing_on_random_classes():
             if not result.exact:
                 reached.add(cap)
     assert cuts > 0  # the count prune fired, so dropping it was tested
-    assert reached == {2, 3, 4}
+    assert reached == {1, 2, 3, 4}
 
 
 def test_count_prune_changes_nothing_on_induced_structures():
-    for domains in (40, 60):
+    for domains in (40, 60, 150):
         hc, g = random_structure(60013 + domains, domains)
         pcc = induce_partial_class(hc, g, DimensionQuery(Fraction(3, 10), Fraction(1, 20)))
         for cap in (None, 3):
             check(pcc, cap)
+    hc, g = product_structure()
+    pcc = induce_partial_class(hc, g, DimensionQuery(Fraction(3, 10), Fraction(1, 50)))
+    for cap in (None, 2):
+        check(pcc, cap)
