@@ -70,6 +70,7 @@ _EXPORTS = {
     "Cover": "divergence",
     "DivergenceQuery": "divergence",
     "EmptyQualifyingSetWarning": "divergence",
+    "checked_cover": "divergence",
     "cover_bound_check": "divergence",
     "cover_is_valid": "divergence",
     "greedy_cover": "divergence",

@@ -203,8 +203,7 @@ def cmd_divergence(args: argparse.Namespace) -> int:
 def cmd_cover(args: argparse.Namespace) -> int:
     hc = genlab.load_hypothesis_class(args.class_path)
     g = genlab.load_family(args.domains)
-    cover = genlab.greedy_cover(g, hc, args.radius, genlab.DivergenceQuery(args.tau))
-    valid = genlab.cover_is_valid(cover, g, hc)
+    cover, valid = genlab.checked_cover(g, hc, args.radius, genlab.DivergenceQuery(args.tau))
     line = (f"centers={len(cover.center_indices)} "
             f"radius={genlab.rational_to_str(args.radius)} valid={_exact_str(valid)}")
     if args.out:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import le
 from typing import Callable, Iterable, Sequence
@@ -85,19 +86,93 @@ def h_divergence(
 
 
 def _balls(m: ErrorMatrix, radius: Fraction, tau: Fraction | None) -> Callable:
-    """The integer test of `greedy_cover`: maps a column y of `m` to a test of
-    whether a column x lies within `radius` of it."""
+    """The covers' index over the columns of `m`. It maps a column y to its
+    window (lo, hi, candidates): column x lies within `radius` of y iff lo <=
+    x <= hi on every row, and only the columns in candidates can. With den the
+    matrix denominator, r = floor(radius * den) and limit = floor(tau * den)
+    (den when tau is None), lo, hi = y - r, y + r on rows where y <= limit,
+    and min(limit + 1, y - r), den elsewhere. This is exact, as every gap is
+    an integer over den; a pair with no qualifying row is within the radius.
+    The candidates come from the first row where y <= limit: that row's
+    columns, sorted by value once on first use, bisected to those with lo <=
+    x <= hi there. Every other column fails that row's bound. When no row has
+    y <= limit, every column is a candidate."""
     den = m.denominator
     r = math.floor(radius * den)  # every gap is an integer over den
     limit = den if tau is None else math.floor(tau * den)
+    rows = list(zip(*m.columns))
+    every = range(len(m.columns))
+    by_value: dict[int, tuple[list[int], list[int]]] = {}
 
-    def ball(y: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
+    def window(y: tuple[int, ...]) -> tuple[list[int], list[int], Sequence[int]]:
         # a row with y > limit counts only when x <= limit, and then x < y + r
         lo = [v - r if v <= limit else min(limit + 1, v - r) for v in y]
         hi = [v + r if v <= limit else den for v in y]
-        return lambda x: all(map(le, lo, x)) and all(map(le, x, hi))
+        for i, v in enumerate(y):
+            if v <= limit:
+                break
+        else:
+            return lo, hi, every
+        if i not in by_value:
+            row = rows[i]
+            order = sorted(every, key=row.__getitem__)
+            by_value[i] = [row[k] for k in order], order
+        values, order = by_value[i]
+        return lo, hi, order[bisect_left(values, lo[i]):bisect_right(values, hi[i])]
 
-    return ball
+    return window
+
+
+def _prepared(
+    g: DomainFamily, hc: HypothesisClass, radius: Fraction, q: DivergenceQuery
+) -> tuple[Fraction, tuple[tuple[int, ...], ...], Callable]:
+    """The checked radius, the columns of the family's `ErrorMatrix` and its
+    `_balls` index, for `greedy_cover` and `checked_cover`."""
+    radius = Fraction(*exact_values((radius,), "cover radius"))
+    if radius < 0:
+        raise ValueError("cover radius must be non-negative")
+    if hc.space != g.space:
+        raise SpaceMismatchError(f"class space {hc.space} != family space {g.space}")
+    m = ErrorMatrix(hc, g.domains)
+    return radius, m.columns, _balls(m, radius, q.tau)
+
+
+def _greedy(columns: Sequence[tuple[int, ...]], window: Callable) -> tuple[int, ...]:
+    """Open the lowest-index uncovered column as a center and mark covered the
+    columns of its window that pass its bounds, the center included."""
+    covered = bytearray(len(columns))
+    centers = []
+    for c, y in enumerate(columns):
+        if covered[c]:
+            continue
+        centers.append(c)
+        lo, hi, candidates = window(y)
+        for k in candidates:
+            if not covered[k]:
+                x = columns[k]
+                if all(map(le, lo, x)) and all(map(le, x, hi)):
+                    covered[k] = 1
+    return tuple(centers)
+
+
+def _valid(centers: tuple[int, ...], columns: Sequence[tuple[int, ...]],
+           window: Callable) -> bool:
+    """Every column that is not a center passes the bounds of its own window
+    at some center column; only the centers in that window, or every center
+    when there are fewer of them, are tested."""
+    is_center = bytearray(len(columns))
+    for c in centers:
+        is_center[c] = 1
+    for j, y in enumerate(columns):
+        if is_center[j]:
+            continue
+        lo, hi, candidates = window(y)
+        if len(candidates) > len(centers):
+            candidates = centers
+        if not any(is_center[k] and all(map(le, lo, columns[k])) and all(map(le, columns[k], hi))
+                   for k in candidates):
+            return False
+    return True
 
 
 def greedy_cover(
@@ -108,47 +183,40 @@ def greedy_cover(
 ) -> Cover:
     """Repeatedly open the lowest-index uncovered domain as a center and mark
     everything within `radius` (an int or a `Fraction`) of it covered, the
-    center itself included. Each opened center's column y gives integer row
-    bounds, and column x is covered iff lo <= x <= hi on every row: with den
-    the matrix denominator, r = floor(radius * den) and limit = floor(tau *
-    den) (den when tau is None), lo, hi = y - r, y + r on rows where y <=
-    limit, and min(limit + 1, y - r), den elsewhere. This is exact, as every
-    gap is an integer over den; a pair with no qualifying row is covered."""
-    radius = Fraction(*exact_values((radius,), "cover radius"))
-    if radius < 0:
-        raise ValueError("cover radius must be non-negative")
-    if hc.space != g.space:
-        raise SpaceMismatchError(f"class space {hc.space} != family space {g.space}")
-    m = ErrorMatrix(hc, g.domains)
-    ball = _balls(m, radius, q.tau)
-    uncovered = list(range(len(g)))
-    centers = []
-    while uncovered:
-        c = uncovered.pop(0)
-        centers.append(c)
-        if uncovered:
-            near = ball(m.columns[c])
-            uncovered = [j for j in uncovered if not near(m.columns[j])]
-    return Cover(tuple(centers), radius, q)
+    center itself included. Each opened center tests only the still-uncovered
+    domains in its `_balls` window against its integer row bounds, and marks
+    those within them in a flag array. Builds its own `ErrorMatrix`;
+    `checked_cover` shares one with the check."""
+    radius, columns, window = _prepared(g, hc, radius, q)
+    return Cover(_greedy(columns, window), radius, q)
 
 
 def cover_is_valid(cover: Cover, g: DomainFamily, hc: HypothesisClass) -> bool:
     """Re-check that every domain lies within the radius of some center. A
     center covers itself: its divergence to itself is 0 (or no hypothesis
     qualifies), within every radius, which `Cover` keeps non-negative. The
-    divergence is symmetric, so `greedy_cover`'s integer bounds are built once
-    per domain that is not a center, and the center columns tested on them."""
+    divergence is symmetric, so each domain that is not a center takes its
+    own `_balls` window and bounds, and only the centers in that window are
+    tested. Builds its own `ErrorMatrix`; `checked_cover` shares one with the
+    greedy cover."""
     for c in cover.center_indices:
         if not 0 <= c < len(g):
             raise ValueError(f"cover center index {c} out of range for {len(g)} domains")
     m = ErrorMatrix(hc, g.domains)
-    ball = _balls(m, cover.radius, cover.query.tau)
-    centers = set(cover.center_indices)
-    center_columns = [m.columns[c] for c in cover.center_indices]
-    return all(
-        j in centers or any(map(ball(column), center_columns))
-        for j, column in enumerate(m.columns)
-    )
+    return _valid(cover.center_indices, m.columns, _balls(m, cover.radius, cover.query.tau))
+
+
+def checked_cover(
+    g: DomainFamily,
+    hc: HypothesisClass,
+    radius: Fraction,
+    q: DivergenceQuery = DivergenceQuery(),
+) -> tuple[Cover, bool]:
+    """(`greedy_cover(g, hc, radius, q)`, `cover_is_valid` of it), from one
+    `ErrorMatrix` and one `_balls` index: what `genlab cover` prints."""
+    radius, columns, window = _prepared(g, hc, radius, q)
+    centers = _greedy(columns, window)
+    return Cover(centers, radius, q), _valid(centers, columns, window)
 
 
 def cover_bound_check(

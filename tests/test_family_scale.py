@@ -43,5 +43,5 @@ def test_smoke_at_forty_domains():
     assert (g40["dimension"], g40["shattered"], g40["centers"], g40["valid"]) == (
         4, [0, 2, 6, 24], 39, True
     )
-    for key in ("induce_s", "search_s", "greedy_cover_s", "cover_is_valid_s"):
+    for key in ("induce_s", "search_s", "greedy_cover_s", "cover_is_valid_s", "cover_cmd_s"):
         assert g40[key] >= 0

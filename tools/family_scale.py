@@ -7,9 +7,11 @@ drawn in the same order but with G domains instead of 40; at G=40 they are
 that workload's inputs before relabeling. The query is the `family-random`
 workload's: tau 3/10, alpha 1/20, cover radius 1/40 at tau 3/10. For each G
 (default 40, 150 and 400) it times `induce_partial_class`, `partial_vc_dim`,
-`greedy_cover` and `cover_is_valid`, best of N runs (default 3), and prints
-one JSON line with the times, the dimension, the shattered set and the number
-of cover centers. It uses only genlab's public API, so it runs on any
+`greedy_cover`, `cover_is_valid` and the in-process `genlab cover` command
+(`cover_cmd_s`, on class and family files written to a temporary directory
+with the public writers), best of N runs (default 3), and prints one JSON line
+with the times, the dimension, the shattered set and the number of cover
+centers. It uses only genlab's public API and CLI, so it runs on any
 checkout.
 
     python3 tools/family_scale.py [--domains G ...] [--runs N] [--src DIR]
@@ -18,9 +20,12 @@ checkout.
 checkout's src/).
 """
 import argparse
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -59,6 +64,27 @@ def best_of(runs: int, call):
     return result, min(times)
 
 
+def cover_command(genlab, hc, g, runs: int) -> float:
+    """Least wall seconds over `runs` in-process `genlab cover` commands on
+    the class and family, written first to a temporary directory."""
+    from genlab import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        genlab.write_hypothesis_class(work / "class.json", hc)
+        genlab.write_json_atomic(work / "family.json", genlab.family_to_dict(g))
+        argv = ["cover", "--class", str(work / "class.json"),
+                "--domains", str(work / "family.json"), "--radius", "1/40",
+                "--tau", "3/10", "--out", str(work / "cover.json")]
+
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"genlab cover exited non-zero on {len(g)} domains")
+
+        return best_of(runs, call)[1]
+
+
 def measure(genlab, domains: int, runs: int) -> dict:
     hc, g = structure(genlab, domains)
     q = genlab.DimensionQuery(Fraction(3, 10), Fraction(1, 20))
@@ -77,6 +103,7 @@ def measure(genlab, domains: int, runs: int) -> dict:
         "search_s": round(search_s, 5),
         "greedy_cover_s": round(cover_s, 5),
         "cover_is_valid_s": round(valid_s, 5),
+        "cover_cmd_s": round(cover_command(genlab, hc, g, runs), 5),
     }
 
 
