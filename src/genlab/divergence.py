@@ -85,18 +85,20 @@ def h_divergence(
     return gap
 
 
-def _balls(m: ErrorMatrix, radius: Fraction, tau: Fraction | None) -> Callable:
-    """The covers' index over the columns of `m`. It maps a column y to its
-    window (lo, hi, candidates): column x lies within `radius` of y iff lo <=
-    x <= hi on every row, and only the columns in candidates can. With den the
-    matrix denominator, r = floor(radius * den) and limit = floor(tau * den)
-    (den when tau is None), lo, hi = y - r, y + r on rows where y <= limit,
-    and min(limit + 1, y - r), den elsewhere. This is exact, as every gap is
-    an integer over den; a pair with no qualifying row is within the radius.
-    The candidates come from the first row where y <= limit: that row's
-    columns, sorted by value once on first use, bisected to those with lo <=
-    x <= hi there. Every other column fails that row's bound. When no row has
-    y <= limit, every column is a candidate."""
+def _balls(m: ErrorMatrix, radius: Fraction,
+           tau: Fraction | None) -> tuple[Callable, Callable]:
+    """The covers' index over the columns of `m`: (near, bounds). Column x lies
+    within `radius` of column y iff lo <= x <= hi on every row, with lo, hi =
+    bounds(y), and only the columns in near(y) can. With den the matrix
+    denominator, r = floor(radius * den) and limit = floor(tau * den) (den
+    when tau is None), lo, hi = y - r, y + r on rows where y <= limit, and
+    min(limit + 1, y - r), den elsewhere. This is exact, as every gap is an
+    integer over den; a pair with no qualifying row is within the radius.
+    near(y) comes from the first row where y <= limit: that row's columns,
+    sorted by value once on first use, bisected to those within its own
+    bounds there. Every other column fails that row's bound. When no row has
+    y <= limit, every column is near. Column y is always within its own
+    bounds, so callers build them only for some other column to test."""
     den = m.denominator
     r = math.floor(radius * den)  # every gap is an integer over den
     limit = den if tau is None else math.floor(tau * den)
@@ -104,28 +106,31 @@ def _balls(m: ErrorMatrix, radius: Fraction, tau: Fraction | None) -> Callable:
     every = range(len(m.columns))
     by_value: dict[int, tuple[list[int], list[int]]] = {}
 
-    def window(y: tuple[int, ...]) -> tuple[list[int], list[int], Sequence[int]]:
+    def bounds(y: tuple[int, ...]) -> tuple[list[int], list[int]]:
         # a row with y > limit counts only when x <= limit, and then x < y + r
         lo = [v - r if v <= limit else min(limit + 1, v - r) for v in y]
         hi = [v + r if v <= limit else den for v in y]
+        return lo, hi
+
+    def near(y: tuple[int, ...]) -> Sequence[int]:
         for i, v in enumerate(y):
             if v <= limit:
                 break
         else:
-            return lo, hi, every
+            return every
         if i not in by_value:
             row = rows[i]
             order = sorted(every, key=row.__getitem__)
             by_value[i] = [row[k] for k in order], order
         values, order = by_value[i]
-        return lo, hi, order[bisect_left(values, lo[i]):bisect_right(values, hi[i])]
+        return order[bisect_left(values, v - r):bisect_right(values, v + r)]
 
-    return window
+    return near, bounds
 
 
 def _prepared(
     g: DomainFamily, hc: HypothesisClass, radius: Fraction, q: DivergenceQuery
-) -> tuple[Fraction, tuple[tuple[int, ...], ...], Callable]:
+) -> tuple[Fraction, tuple[tuple[int, ...], ...], tuple[Callable, Callable]]:
     """The checked radius, the columns of the family's `ErrorMatrix` and its
     `_balls` index, for `greedy_cover` and `checked_cover`."""
     radius = Fraction(*exact_values((radius,), "cover radius"))
@@ -137,18 +142,23 @@ def _prepared(
     return radius, m.columns, _balls(m, radius, q.tau)
 
 
-def _greedy(columns: Sequence[tuple[int, ...]], window: Callable) -> tuple[int, ...]:
-    """Open the lowest-index uncovered column as a center and mark covered the
-    columns of its window that pass its bounds, the center included."""
+def _greedy(columns: Sequence[tuple[int, ...]],
+            balls: tuple[Callable, Callable]) -> tuple[int, ...]:
+    """Open the lowest-index uncovered column as a center, which covers
+    itself, and mark covered the uncovered columns near it that pass its
+    bounds."""
+    near, bounds = balls
     covered = bytearray(len(columns))
     centers = []
     for c, y in enumerate(columns):
         if covered[c]:
             continue
         centers.append(c)
-        lo, hi, candidates = window(y)
-        for k in candidates:
-            if not covered[k]:
+        covered[c] = 1
+        left = [k for k in near(y) if not covered[k]]
+        if left:
+            lo, hi = bounds(y)
+            for k in left:
                 x = columns[k]
                 if all(map(le, lo, x)) and all(map(le, x, hi)):
                     covered[k] = 1
@@ -156,21 +166,26 @@ def _greedy(columns: Sequence[tuple[int, ...]], window: Callable) -> tuple[int, 
 
 
 def _valid(centers: tuple[int, ...], columns: Sequence[tuple[int, ...]],
-           window: Callable) -> bool:
-    """Every column that is not a center passes the bounds of its own window
-    at some center column; only the centers in that window, or every center
-    when there are fewer of them, are tested."""
+           balls: tuple[Callable, Callable]) -> bool:
+    """Every column that is not a center passes its own bounds at some center
+    column; only the centers near it, or every center when there are fewer
+    of them, are tested."""
+    near, bounds = balls
     is_center = bytearray(len(columns))
     for c in centers:
         is_center[c] = 1
     for j, y in enumerate(columns):
         if is_center[j]:
             continue
-        lo, hi, candidates = window(y)
+        candidates = near(y)
         if len(candidates) > len(centers):
             candidates = centers
-        if not any(is_center[k] and all(map(le, lo, columns[k])) and all(map(le, columns[k], hi))
-                   for k in candidates):
+        found = [k for k in candidates if is_center[k]]
+        if not found:
+            return False
+        lo, hi = bounds(y)
+        if not any(all(map(le, lo, columns[k])) and all(map(le, columns[k], hi))
+                   for k in found):
             return False
     return True
 
@@ -184,21 +199,22 @@ def greedy_cover(
     """Repeatedly open the lowest-index uncovered domain as a center and mark
     everything within `radius` (an int or a `Fraction`) of it covered, the
     center itself included. Each opened center tests only the still-uncovered
-    domains in its `_balls` window against its integer row bounds, and marks
-    those within them in a flag array. Builds its own `ErrorMatrix`;
+    domains near it in the `_balls` index against its integer row bounds,
+    built only when there is one, and marks those within them in a flag
+    array. Builds its own `ErrorMatrix`;
     `checked_cover` shares one with the check."""
-    radius, columns, window = _prepared(g, hc, radius, q)
-    return Cover(_greedy(columns, window), radius, q)
+    radius, columns, balls = _prepared(g, hc, radius, q)
+    return Cover(_greedy(columns, balls), radius, q)
 
 
 def cover_is_valid(cover: Cover, g: DomainFamily, hc: HypothesisClass) -> bool:
     """Re-check that every domain lies within the radius of some center. A
     center covers itself: its divergence to itself is 0 (or no hypothesis
     qualifies), within every radius, which `Cover` keeps non-negative. The
-    divergence is symmetric, so each domain that is not a center takes its
-    own `_balls` window and bounds, and only the centers in that window are
-    tested. Builds its own `ErrorMatrix`; `checked_cover` shares one with the
-    greedy cover."""
+    divergence is symmetric, so each domain that is not a center is tested
+    against its own `_balls` bounds at the centers near it, and fails
+    without them when there are none. Builds its own `ErrorMatrix`;
+    `checked_cover` shares one with the greedy cover."""
     for c in cover.center_indices:
         if not 0 <= c < len(g):
             raise ValueError(f"cover center index {c} out of range for {len(g)} domains")
@@ -214,9 +230,9 @@ def checked_cover(
 ) -> tuple[Cover, bool]:
     """(`greedy_cover(g, hc, radius, q)`, `cover_is_valid` of it), from one
     `ErrorMatrix` and one `_balls` index: what `genlab cover` prints."""
-    radius, columns, window = _prepared(g, hc, radius, q)
-    centers = _greedy(columns, window)
-    return Cover(centers, radius, q), _valid(centers, columns, window)
+    radius, columns, balls = _prepared(g, hc, radius, q)
+    centers = _greedy(columns, balls)
+    return Cover(centers, radius, q), _valid(centers, columns, balls)
 
 
 def cover_bound_check(

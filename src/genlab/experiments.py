@@ -24,7 +24,7 @@ import statistics
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import islice, repeat
 from typing import Any, Callable, ClassVar, Iterator, Sequence, TypeVar
 
@@ -55,7 +55,7 @@ from .learner import (
     sample_size_for,
     uniform_weights,
 )
-from .seeding import derive_seed, derive_seeds, rng_for, streams
+from .seeding import blocks, derive_seed, derive_seeds, rng_for, streams
 from .serialize import _field, _int, _typed, rational_from_str, rational_to_str
 
 SCALING_GENERATORS = ("adversarial-meta", "uniform-shattered", "point-mass")
@@ -352,7 +352,7 @@ def _hidden_bits(
 
 def _learn(
     matrix: ErrorMatrix,
-    picks: Sequence[Callable[[float], int]],
+    picks: Sequence[partial[int]],
     weights: Sequence[Fraction],
     columns: Sequence[int],
     n: int,
@@ -365,8 +365,8 @@ def _learn(
     The meta puts weights[i] on the domain of matrix column columns[i]. With
     `points` None the learner sees the drawn domains' exact errors; otherwise
     its mistakes on the points `sample_training_set` would draw, that many per
-    draw, counted per atom by `bucket_counts` with picks[c] the point sampler
-    of column c.
+    draw: each draw's generator words come from `blocks`, and `bucket_counts`
+    counts them per atom, with picks[c] the point sampler of column c.
     Returns the chosen hypothesis, its largest exact error over the drawn
     domains, its domain risk at tau, and the drawn meta indices.
     """
@@ -374,10 +374,10 @@ def _learn(
     if points is None:
         hat, max_train = matrix.minmax(columns[i] for i in indices)
     else:
-        uniforms = streams(derive_seeds(train_seed, "points", count=n))
+        words = blocks(derive_seeds(train_seed, "points", count=n), points)
         samples = {
-            matrix.tally(c, enumerate(bucket_counts(picks[c], islice(u, points))))
-            for c, u in zip((columns[j] for j in indices), uniforms)
+            matrix.tally(c, enumerate(bucket_counts(picks[c], block)))
+            for c, block in zip((columns[j] for j in indices), words)
         }
         hat, _ = argmin_max(samples)
         max_train = max(matrix.error(hat, columns[i]) for i in set(indices))

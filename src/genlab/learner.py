@@ -8,14 +8,14 @@ weighted average instead.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, islice
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     ErrorMatrix,
@@ -104,17 +104,39 @@ def inverse_cdf(weights: Sequence[Fraction]) -> partial[int]:
         if p * den < c * q:  # t < c/den
             t = math.nextafter(t, math.inf)
         thresholds.append(t)
-    return partial(bisect_right, thresholds)
+    return partial(bisect_right, tuple(thresholds))
 
 
-def bucket_counts(pick: partial[int], uniforms: Iterable[float]) -> list[int]:
-    """How many of the uniforms the `inverse_cdf` sampler `pick` sends to each
-    bucket, counted on the sorted uniforms s with its thresholds t: bucket k
-    holds the u with t_{k-1} <= u < t_k, so its count is bisect_left(s, t_k)
-    - bisect_left(s, t_{k-1}), and a u equal to t_k falls in bucket k + 1 both
-    ways."""
-    drawn = sorted(uniforms)
-    cuts = [bisect_left(drawn, t) for t in pick.args[0]]
+@lru_cache(maxsize=64)
+def _cells(thresholds: tuple[float, ...]) -> tuple[tuple[int, int, bytes], ...]:
+    """(c, T, the bytes c..255) for each threshold t: T = ceil(t * 2**53),
+    exact for a double t <= 1, and c = T >> 45, its top byte (256 for t =
+    1.0)."""
+    scaled = [math.ceil(math.ldexp(t, 53)) for t in thresholds]
+    return tuple((T >> 45, T, bytes(range(T >> 45, 256))) for T in scaled)
+
+
+def bucket_counts(pick: partial[int], block: bytes) -> list[int]:
+    """How many of the uniforms of a `seeding.blocks` block the `inverse_cdf`
+    sampler `pick` sends to each bucket. Bucket j holds the u with t_{j-1} <=
+    u < t_j, so its count is #{u < t_j} - #{u < t_{j-1}}. With u = k / 2**53
+    and T = ceil(t * 2**53), u < t iff k < T. The top byte k >> 45 of uniform
+    i is `block[8i + 3]`: the uniforms whose top byte is below T >> 45 all
+    count, those above it none, and only those sharing it, about one in 256,
+    are decoded whole. A threshold of 1.0 counts every uniform."""
+    tops = block[3::8]
+    cuts = []
+    for c, T, drop in _cells(pick.args[0]):
+        if c > 255:
+            cuts.append(len(tops))
+            continue
+        below = len(tops.translate(None, drop))
+        i = tops.find(c)
+        while i >= 0:
+            w = int.from_bytes(block[8 * i:8 * i + 8], "little")
+            below += ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < T
+            i = tops.find(c, i + 1)
+        cuts.append(below)
     return list(map(sub, cuts, [0, *cuts]))
 
 

@@ -1,8 +1,10 @@
-"""Stable seed derivation and the seeded uniform streams.
+"""Stable seed derivation and the seeded uniform streams and word blocks.
 
 Per-draw seeds are sha256 digests of the master seed plus a path of string/int
-parts, so results never depend on draw order or worker scheduling. This is
-the only genlab module that touches `random`.
+parts, so results never depend on draw order or worker scheduling. A seed's
+draws are read either as the floats of `random()` (`streams`) or as the raw
+Mersenne Twister words those floats are made from (`blocks`). This is the
+only genlab module that touches `random`.
 """
 from __future__ import annotations
 
@@ -55,3 +57,18 @@ def streams(seeds: Iterable[int]) -> Iterator[Iterator[float]]:
     for seed in seeds:
         reseed(seed)
         yield iter(uniform, None)  # random() never returns None
+
+
+def blocks(seeds: Iterable[int], m: int) -> Iterator[bytes]:
+    """For each seed, the 2m generator words that m successive
+    `random.Random(seed).random()` calls read, as 8m little-endian bytes.
+    `getrandbits` fills its result from the least significant 32-bit word up,
+    in generation order, so uniform i is made from the words a, b at bytes
+    8i..8i+3 and 8i+4..8i+7: it is k / 2**53 with k = (a >> 5) << 26 | b >> 6,
+    and byte 8i + 3, the top byte of a, is k >> 45. One generator is reseeded
+    per seed, as in `streams`."""
+    rng = random.Random()
+    reseed, bits = super(random.Random, rng).seed, rng.getrandbits
+    for seed in seeds:
+        reseed(seed)
+        yield bits(64 * m).to_bytes(8 * m, "little")

@@ -55,6 +55,7 @@ from genlab import (
 from genlab.cli import main
 from genlab.core import ConstructionError, ErrorMatrix
 from genlab.learner import bucket_counts, inverse_cdf
+from genlab.seeding import blocks, derive_seeds, streams
 
 from _builders import random_class, random_domain
 from test_restriction_memo import TestClassLoading, frozen_class_from_dict
@@ -461,30 +462,75 @@ def test_lower_bound_flipped_domains_are_flipped_mixtures():
 
 
 # Counted point sampling.
+#
+# `bucket_counts` reads the generator words of `seeding.blocks`: uniform i is
+# k / 2**53 with k = (a >> 5) << 26 | b >> 6 over the words a, b at bytes
+# 8i..8i+7. `block_of` builds a block from chosen k values, with random low
+# bits the uniform drops, and the floats they stand for feed the per-point
+# sampler as the oracle.
+
+ONE = 2**53
+
+
+def block_of(rng, ks):
+    words = bytearray()
+    for k in ks:
+        a = (k >> 26) << 5 | rng.getrandbits(5)
+        b = (k & (2**26 - 1)) << 6 | rng.getrandbits(6)
+        words += a.to_bytes(4, "little") + b.to_bytes(4, "little")
+    return bytes(words)
+
+
+def near_thresholds(pick):
+    """k = T - 1, T, T + 1 around each threshold's T = ceil(t * 2**53), and
+    k = 0 and 2**53 - 1."""
+    ks = {0, ONE - 1}
+    for t in pick.args[0]:
+        T = math.ceil(F(t) * ONE)
+        ks.update(k for k in (T - 1, T, T + 1) if 0 <= k < ONE)
+    return sorted(ks)
+
+
+def random_weights(rng, size):
+    """Masses summing to 1 over size buckets: some zero, some whole 2**-8
+    cells (thresholds on a cell edge), some below 2**-8."""
+    kind = rng.choice(["small", "cells", "tiny"])
+    if kind == "cells":
+        nums = [rng.choice([0, 1, 3, 16]) for _ in range(size)]
+        nums[-1] += 256 - sum(nums) % 256
+        return [F(w, sum(nums)) for w in nums]
+    nums = [rng.choice([0, 0, 1, 2, 5, 9]) for _ in range(size)]
+    if kind == "tiny":
+        nums = [w * 10**6 if j else w for j, w in enumerate(nums)]
+    if not any(nums):
+        nums[rng.randrange(size)] = 1
+    return [F(w, sum(nums)) for w in nums]
+
 
 def test_bucket_counts_match_per_point_sampler():
     rng = random.Random(23041)
-    on_threshold = 0
-    for _ in range(300):
-        size = rng.randint(1, 6)
-        nums = [rng.choice([0, 0, 1, 2, 5, 9]) for _ in range(size)]
-        if not any(nums):
-            nums[rng.randrange(size)] = 1
-        weights = [F(w, sum(nums)) for w in nums]
+    on_threshold = shared_top = repeats = edge = tiny = many = 0
+    for trial in range(300):
+        size = rng.randint(256, 400) if trial % 25 == 0 else rng.randint(1, 6)
+        weights = random_weights(rng, size)
         pick = inverse_cdf(weights)
-        thresholds = pick.args[0]
-        uniforms = [rng.random() for _ in range(rng.randint(0, 40))]
-        # thresholds below 1.0 are uniforms too, and a zero-mass bucket
-        # repeats the threshold before it
-        uniforms += [rng.choice(thresholds[:-1]) for _ in range(rng.randint(0, 5)) if size > 1]
-        uniforms.append(0.0)
-        rng.shuffle(uniforms)
-        on_threshold += any(u in thresholds for u in uniforms)
-        hits = Counter(map(pick, uniforms))
-        counts = bucket_counts(pick, iter(uniforms))
-        assert counts == [hits[k] for k in range(size)]
-        assert all(counts[k] == 0 for k in range(size) if not nums[k])
-    assert on_threshold > 100
+        ts = [math.ceil(F(t) * ONE) for t in pick.args[0]]
+        ks = near_thresholds(pick) + [rng.randrange(ONE) for _ in range(rng.randint(0, 40))]
+        rng.shuffle(ks)
+        hits = Counter(pick(k / ONE) for k in ks)
+        counts = bucket_counts(pick, block_of(rng, ks))
+        assert counts == [hits[j] for j in range(size)]
+        assert all(counts[j] == 0 for j in range(size) if not weights[j])
+        on_threshold += any(k in ts for k in ks)
+        repeats += len(set(ts)) < len(ts)  # a zero-mass bucket
+        # a uniform that shares its top byte with a threshold below 1.0 is
+        # decoded whole
+        shared_top += any(T < ONE and k >> 45 == T >> 45 for k in ks for T in ts)
+        edge += any(0 < T < ONE and T % 2**45 == 0 for T in ts)
+        tiny += any(0 < T < 2**45 for T in ts)
+        many += size > 255 and len({T >> 45 for T in ts}) < size
+    assert on_threshold > 200 and shared_top > 200 and repeats > 100
+    assert edge > 50 and tiny > 30 and many == 12
 
 
 def test_tally_of_counts_matches_mistakes():
@@ -495,6 +541,25 @@ def test_tally_of_counts_matches_mistakes():
         d = random_domain(rng, space)
         matrix = ErrorMatrix(hc, [d])
         pick = inverse_cdf([a.mass for a in d.atoms])
-        uniforms = [rng.random() for _ in range(rng.randint(1, 50))]
-        counted = matrix.tally(0, enumerate(bucket_counts(pick, uniforms)))
-        assert counted == matrix.mistakes(0, map(pick, uniforms))
+        ks = near_thresholds(pick) + [rng.randrange(ONE) for _ in range(rng.randint(1, 50))]
+        rng.shuffle(ks)
+        counted = matrix.tally(0, enumerate(bucket_counts(pick, block_of(rng, ks))))
+        assert counted == matrix.mistakes(0, (pick(k / ONE) for k in ks))
+
+
+def test_bucket_counts_of_blocks_match_streams_at_scale():
+    # about the benchmark's sampled scaling run: ~460 points per draw, the
+    # large-k family's domains, plus a domain of 300 atoms
+    rng = random.Random(23047)
+    domains = list(large_k_family(F(1, 50)).family.domains)
+    nums = [rng.choice([1, 2, 7, 100]) for _ in range(300)]
+    domains.append(LabeledDistribution(300, tuple(
+        Atom(x, x % 2, F(w, sum(nums))) for x, w in enumerate(nums)
+    )))
+    for j, d in enumerate(domains):
+        pick = inverse_cdf([a.mass for a in d.atoms])
+        for m in (1, 358, 460, 462):
+            seeds = derive_seeds(104729, "scale", j, m, count=20)
+            counted = [bucket_counts(pick, block) for block in blocks(seeds, m)]
+            drawn = [Counter(map(pick, itertools.islice(u, m))) for u in streams(seeds)]
+            assert counted == [[c[k] for k in range(len(d.atoms))] for c in drawn]
