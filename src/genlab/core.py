@@ -161,8 +161,21 @@ class HypothesisClass(Frozen):
             raise ValueError("hypothesis class must be non-empty")
         if not set(map(type, masks)) <= {int} or min(masks) < 0 or max(masks) >> 8 * space:
             raise ValueError(f"hypothesis masks must be ints in [0, 256**{space})")
-        if b"".join([m.to_bytes(space, "little") for m in masks]).translate(None, b"\x00\x01"):
+        return cls._from_rows(space, b"".join([m.to_bytes(space, "little") for m in masks]), masks)
+
+    @classmethod
+    def _from_rows(cls, space: int, rows: bytes, masks: tuple[int, ...] | None = None
+                   ) -> HypothesisClass:
+        """`from_masks` for labels already held as bytes: the class whose
+        member i labels point x with byte x of row i, where `rows` joins one
+        or more rows of `space` bytes each. The labels are checked on those
+        bytes, and the masks, unless given, read from them."""
+        _check_space(space)
+        if rows.translate(None, b"\x00\x01"):
             raise ValueError("hypothesis labels must be 0 or 1")
+        if masks is None:
+            masks = tuple([int.from_bytes(rows[i:i + space], "little")
+                           for i in range(0, len(rows), space)])
         hc = cls.__new__(cls)
         hc._hold(space, masks)
         return hc

@@ -34,6 +34,22 @@ from .core import (
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+# A class file as `json.dump(indent=2, sort_keys=True)` and a newline lay it
+# out: the head, rows of `space` digits joined by _ROW_SEP, the foot, the
+# space and the end. `write_hypothesis_class` writes it, `_class_layout` reads it.
+_CLASS_HEAD = '{\n  "hypotheses": [\n'
+_ROW_OPEN, _LABEL_SEP, _ROW_CLOSE, _ROW_SEP = "    [\n      ", ",\n      ", "\n    ]", ",\n"
+_CLASS_FOOT, _CLASS_END = '\n  ],\n  "space": ', "\n}\n"
+_LABEL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_LABELS = bytes.maketrans(b"01", b"\x00\x01")
+_ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
+
+
+def _class_row(digits: str) -> str:
+    """One row of a class file, its labels given as a string of digits."""
+    return _ROW_OPEN + _LABEL_SEP.join(digits) + _ROW_CLOSE
+
+
 class FormatError(GenlabError, ValueError):
     """A file or string does not match the expected format."""
 
@@ -110,8 +126,8 @@ def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
 
 def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
     """A class object whose rows are lists of `space` JSON integers is read in
-    bulk: one type pass over all labels, `bytes` per row, and
-    `HypothesisClass.from_masks`, which checks every label and distinctness at
+    bulk: one type pass over all labels, `bytes` per row, and the check
+    `HypothesisClass.from_masks` makes, on all labels and distinctness at
     once. Any other object, and one that fails there, is read row by row and
     label by label, so a refusal names the first bad row or label."""
     try:
@@ -120,8 +136,7 @@ def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
                 and set(map(type, chain.from_iterable(rows))) == {int}):
             rows = [bytes(row) for row in rows]
             if set(map(len, rows)) == {space}:
-                return HypothesisClass.from_masks(
-                    space, [int.from_bytes(row, "little") for row in rows])
+                return HypothesisClass._from_rows(space, b"".join(rows))
     except (KeyError, TypeError, ValueError):
         pass  # the reader below names the fault
     try:
@@ -264,7 +279,43 @@ def load_domain(path: Path | str) -> LabeledDistribution:
     return domain_from_dict(_read_json(path))
 
 
+def _class_layout(data: bytes) -> tuple[int, bytes] | None:
+    """(space, the label rows joined) when `data` is byte for byte the file
+    that `write_hypothesis_class` writes, else None. Every row of that file
+    has the same length, so with its 1s read as 0s the rows are one row
+    template repeated, and label j of every row is one strided slice."""
+    foot = data.rfind(_CLASS_FOOT.encode())
+    tail = data[foot + len(_CLASS_FOOT):]
+    digits = tail[:-len(_CLASS_END)]
+    space = int(digits) if len(digits) < 10 and digits.isdigit() else 0
+    if not (foot > 0 and space and tail == f"{space}{_CLASS_END}".encode()
+            and data.startswith(_CLASS_HEAD.encode())):
+        return None
+    # the row length comes from `space` before any row is built, so a file
+    # that claims a huge space is turned away without allocating for it
+    start, step = len(_CLASS_HEAD), len(_LABEL_SEP) + 1
+    stride = len(_class_row("0") + _ROW_SEP) + (space - 1) * step
+    count, extra = divmod(foot - start + len(_ROW_SEP), stride)
+    if extra or count < 1:
+        return None
+    row = _class_row("0" * space).encode()
+    plain, last = data.translate(_ONE_AS_ZERO), foot - len(row)
+    if not plain.startswith(row, last) or plain.count(row + _ROW_SEP.encode(), start, last) != count - 1:
+        return None
+    labels = bytearray(count * space)
+    for j in range(space):
+        labels[j::space] = data[start + len(_ROW_OPEN) + j * step:foot:stride]
+    return space, bytes(labels).translate(_DIGIT_LABELS)
+
+
 def load_hypothesis_class(path: Path | str) -> HypothesisClass:
+    """The class in the file at `path`. A file in `write_hypothesis_class`'s
+    layout is read straight from its bytes, and refused, for repeated rows
+    only, with the JSON reader's message. Any other file is read as JSON."""
+    with open(path, "rb") as fh:
+        layout = _class_layout(fh.read())
+    if layout is not None:
+        return HypothesisClass._from_rows(*layout)
     return hypothesis_class_from_dict(_read_json(path))
 
 
@@ -302,20 +353,17 @@ def write_text_atomic(path: Path | str, text: str) -> None:
         fh.write(text)
 
 
-_LABEL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def write_hypothesis_class(path: Path | str, hc: HypothesisClass) -> None:
     """Stream into place the class file that `write_json_atomic(path,
     hypothesis_class_to_dict(hc))` writes, byte for byte, each row rendered
     from its mask."""
     with _staged(path) as fh:
-        head = '{\n  "hypotheses": [\n'
+        head = _CLASS_HEAD
         for m in hc.masks:
             digits = m.to_bytes(hc.space, "little").translate(_LABEL_DIGITS).decode()
-            fh.write(head + "    [\n      " + ",\n      ".join(digits) + "\n    ]")
-            head = ",\n"
-        fh.write(f'\n  ],\n  "space": {hc.space}\n}}\n')
+            fh.write(head + _class_row(digits))
+            head = _ROW_SEP
+        fh.write(f"{_CLASS_FOOT}{hc.space}{_CLASS_END}")
 
 
 def write_json_atomic(path: Path | str, obj: Any) -> None:
