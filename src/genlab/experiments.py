@@ -201,6 +201,11 @@ class LowerBoundConfig(_Config):
 
 @dataclass(frozen=True)
 class TrialRow:
+    """One trial's result. Each field is checked as a config field of its
+    annotation is, and a refusal names it; an int mass is stored as its
+    `Fraction`. `extra` must be a dict, whose contents are encoded only when
+    the report is written."""
+
     experiment: str
     n: int
     trial: int
@@ -210,19 +215,15 @@ class TrialRow:
     max_train_err: Fraction | None
     extra: dict[str, Any]
 
-
-def _row_dict(r: TrialRow) -> dict[str, Any]:
-    return {
-        "experiment": r.experiment,
-        "n": r.n,
-        "trial": r.trial,
-        "seed": r.seed,
-        "hypothesis_index": r.hypothesis_index,
-        "er_exact": rational_to_str(r.er_exact),
-        "er_float": float(r.er_exact),
-        "max_train_err": None if r.max_train_err is None else rational_to_str(r.max_train_err),
-        "extra": r.extra,
-    }
+    def __post_init__(self) -> None:
+        if not (type(self.n) is type(self.trial) is type(self.seed) is type(self.hypothesis_index)
+                is int and type(self.experiment) is str and type(self.er_exact) is Fraction
+                and (self.max_train_err is None or type(self.max_train_err) is Fraction)
+                and type(self.extra) is dict):
+            for f in fields(self):  # `extra` is the one annotation `_TYPES` lacks
+                check = _TYPES.get(f.type, lambda value, what: _typed(value, dict, what))
+                value = check(getattr(self, f.name), f"trial row {f.name!r}")
+                object.__setattr__(self, f.name, value)
 
 
 # report.csv's header, and a row inside report.json's top-level "rows" list as
@@ -248,14 +249,14 @@ class ExperimentReport:
         """report.json and report.csv in one pass over the rows, as (JSON, CSV)
         pieces to append to each file: the heads, one pair per row, the tails.
 
-        report.json is `to_json_dict()` plus "series" as `json.dump(..., indent=2,
-        sort_keys=True)` writes it, and a newline. report.csv is what csv.writer
-        writes: masses as "p/q" and as floats to `float_digits` significant
-        digits, `extra` as compact key-sorted JSON. Each row fills one template
-        per file, from pieces formatted once per distinct mass, experiment name
-        and compact `extra`. A row holding a value the templates cannot write
-        exactly (a bool or other non-int where an int goes, a non-Fraction mass,
-        a non-str experiment) takes `json.dumps` and csv.writer, unmemoised."""
+        report.json is the report's experiment, config, aggregates, rows and
+        "series" as `json.dump(..., indent=2, sort_keys=True)` writes them, and a
+        newline; a row holds its masses as "p/q" and `er_exact` also as a float.
+        report.csv is what csv.writer writes: masses as "p/q" and as floats to
+        `float_digits` significant digits, `extra` as compact key-sorted JSON.
+        Every row fills one template per file (`TrialRow` holds only values the
+        templates write exactly), from pieces formatted once per distinct mass,
+        experiment name and compact `extra`."""
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -282,28 +283,19 @@ class ExperimentReport:
         yield head + '\n  "rows": [', csv_line(_CSV_HEADER)
         comma = ""
         for r in self.rows:
-            if (type(r.n) is type(r.trial) is type(r.seed) is type(r.hypothesis_index) is int
-                    and type(r.experiment) is str and type(r.er_exact) is Fraction
-                    and (r.max_train_err is None or type(r.max_train_err) is Fraction)):
-                key = encode(r.extra)
-                forms = extras.get(key)
-                if forms is None:
-                    text = json.dumps(r.extra, indent=2, sort_keys=True).replace("\n", "\n      ")
-                    forms = extras[key] = (text, csv_field(key))
-                er, er_float, er_csv = mass(*r.er_exact.as_integer_ratio())
-                train = ("" if r.max_train_err is None
-                         else mass(*r.max_train_err.as_integer_ratio())[0])
-                experiment, experiment_csv = name(r.experiment)
-                piece = _ROW_JSON % (er, er_float, experiment, forms[0], r.hypothesis_index,
-                                     f'"{train}"' if train else "null", r.n, r.seed, r.trial)
-                line = (f"{experiment_csv},{r.n},{r.trial},{r.seed},{r.hypothesis_index},"
-                        f"{er},{er_csv},{train},{forms[1]}\n")
-            else:
-                row = _row_dict(r)  # its first six values are report.csv's first six fields
-                piece = "\n    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")
-                line = csv_line((*(row[k] for k in _CSV_HEADER[:6]),
-                                 format(row["er_float"], f".{float_digits}g"),
-                                 row["max_train_err"] or "", encode(r.extra)))
+            key = encode(r.extra)
+            forms = extras.get(key)
+            if forms is None:
+                text = json.dumps(r.extra, indent=2, sort_keys=True).replace("\n", "\n      ")
+                forms = extras[key] = (text, csv_field(key))
+            er, er_float, er_csv = mass(*r.er_exact.as_integer_ratio())
+            train = ("" if r.max_train_err is None
+                     else mass(*r.max_train_err.as_integer_ratio())[0])
+            experiment, experiment_csv = name(r.experiment)
+            piece = _ROW_JSON % (er, er_float, experiment, forms[0], r.hypothesis_index,
+                                 f'"{train}"' if train else "null", r.n, r.seed, r.trial)
+            line = (f"{experiment_csv},{r.n},{r.trial},{r.seed},{r.hypothesis_index},"
+                    f"{er},{er_csv},{train},{forms[1]}\n")
             yield comma + piece, line
             comma = ","
         yield ("\n  ]" if comma else "]") + tail + "\n", ""
@@ -313,12 +305,10 @@ class ExperimentReport:
         return "".join(piece for _, piece in self.chunks(float_digits))
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "aggregates": self.aggregates,
-            "rows": [_row_dict(r) for r in self.rows],
-        }
+        """report.json read back, without "series"."""
+        payload = json.loads(self.to_json_text())
+        del payload["series"]
+        return payload
 
     def to_json_text(self) -> str:
         """report.json, as `chunks` writes it."""

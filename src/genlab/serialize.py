@@ -13,7 +13,6 @@ import re
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
@@ -31,7 +30,7 @@ from .core import (
     MetaDistribution,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 # A class file as `json.dump(indent=2, sort_keys=True)` and a newline lay it
@@ -125,20 +124,8 @@ def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:
 
 
 def hypothesis_class_from_dict(obj: dict[str, Any]) -> HypothesisClass:
-    """A class object whose rows are lists of `space` JSON integers is read in
-    bulk: one type pass over all labels, `bytes` per row, and the check
-    `HypothesisClass.from_masks` makes, on all labels and distinctness at
-    once. Any other object, and one that fails there, is read row by row and
-    label by label, so a refusal names the first bad row or label."""
-    try:
-        rows, space = obj["hypotheses"], obj["space"]
-        if (type(rows) is list and type(space) is int and set(map(type, rows)) == {list}
-                and set(map(type, chain.from_iterable(rows))) == {int}):
-            rows = [bytes(row) for row in rows]
-            if set(map(len, rows)) == {space}:
-                return HypothesisClass._from_rows(space, b"".join(rows))
-    except (KeyError, TypeError, ValueError):
-        pass  # the reader below names the fault
+    """A class object, read row by row and label by label, so a refusal names
+    the first bad row or label."""
     try:
         members = tuple(Hypothesis(tuple(_int(v, "hypothesis label") for v in row))
                         for row in obj["hypotheses"])
@@ -198,12 +185,13 @@ def certificate_from_dict(obj: dict[str, Any]) -> genlab.ShatteringCertificate:
     indices = tuple(_int(i, "certificate index") for i in listed)
     table = _field(obj, "witnesses", "certificate object", dict)
     size = 1 << len(indices)
-    if len(table) != size or table.keys() != {str(m) for m in range(size)}:
+    keys = len(table) == size and [str(m) for m in range(size)]  # only once the count fits
+    if not keys or table.keys() != set(keys):
         raise CertificateError(
             f"certificate needs witnesses for all {size} subset bitmasks"
         )
     return genlab.ShatteringCertificate(
-        indices, tuple(_int(table[str(m)], "certificate witness") for m in range(size))
+        indices, tuple(_int(table[k], "certificate witness") for k in keys)
     )
 
 

@@ -409,6 +409,17 @@ class TestDivergenceCommands:
         assert code == 0
         assert out.rstrip() == "divergence=0/1 kind=full"
 
+    def test_full_width_domain_mass_refused(self, built, capsys):
+        domain = json.loads((built / "domain_1.json").read_text())
+        domain["atoms"][0]["mass"] = "\uff11/\uff12"
+        (built / "bad_domain.json").write_text(json.dumps(domain))
+        code, out, err = run(
+            capsys, "divergence", "--class", str(built / "class.json"),
+            "--d1", str(built / "bad_domain.json"), "--d2", str(built / "domain_1.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "atom mass expected a decimal-free rational" in err
+
     def test_divergence_restricted(self, built, capsys):
         code, out, _ = run(
             capsys, "divergence", "--class", str(built / "class.json"),
@@ -473,6 +484,14 @@ class TestArgumentErrors:
             main(["construct", "large-k", "--alpha", "0.02", "--out-dir", "."])
         assert exc.value.code == 2
         assert "rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["\u0661/\u0665\u0660", "\uff11/\uff15\uff10"])
+    def test_non_ascii_digits_rejected(self, tmp_path, capsys, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "large-k", "--alpha", alpha, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "error: argument --alpha: expected a decimal-free rational" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,8 +3,8 @@ copies of the tuple code they replaced.
 
 `HypothesisClass` and `PartialConceptClass` hold int masks and make their
 `members` / `concepts` on first read. Covered here, on seeded instances: the
-bulk class-file loader against the row-by-row reader (large classes, every
-mutant kind in the first, middle and last row), `induce_partial_class` and
+class-object reader against a frozen copy of its row-by-row code (large
+classes, every mutant kind in the first, middle and last row), `induce_partial_class` and
 `from_hypothesis_class` against the tuple versions (None cells, twin points,
 all-undefined concepts and an empty family included), the constructions'
 mask builders, the class-file writer against `json.dump`, the flipped

@@ -61,7 +61,9 @@ class TestRationalStrings:
         assert rational_from_str("-3") == -3
 
     def test_rejections(self):
-        for bad in ("0.5", "3e-2", "1/0", "", "1/2/3", "a/b", "1 / 2"):
+        # Arabic-Indic, full-width and Devanagari digits are digits to `Fraction`
+        for bad in ("0.5", "3e-2", "1/0", "", "1/2/3", "a/b", "1 / 2",
+                    "\u0663/\u0661\u0660", "\uff13/\uff11\uff10", "1/\u0665", "\u0967"):
             with pytest.raises(FormatError):
                 rational_from_str(bad)
 
