@@ -173,6 +173,19 @@ def test_off_type_rows_are_refused(fields):
         row(**fields)
 
 
+def test_fraction_subclass_row_agrees_across_files():
+    """A mass of a Fraction subclass, whose float is not its value's, is
+    refused when the row is built; the same value as a plain Fraction gets the
+    float of an earlier equal mass in both files."""
+    with pytest.raises(ValueError, match="^trial row 'er_exact' must be "):
+        row(trial=1, er_exact=HalfFloat(1, 3))
+    report = report_of([row(er_exact=F(1, 3)), row(trial=1, er_exact=F(HalfFloat(1, 3)))])
+    rows = json.loads(report.to_json_text())["rows"]
+    lines = list(csv.reader(io.StringIO(report.to_csv_text())))
+    assert [r["er_float"] for r in rows] == [1 / 3, 1 / 3]
+    assert [line[6] for line in lines[1:]] == ["0.333333333333"] * 2
+
+
 def test_one_piece_pair_per_row():
     report = report_of([row(trial=t) for t in range(5)])
     pieces = list(report.chunks())
