@@ -7,9 +7,11 @@ represented by their size; points are the integers 0..space-1, labels are 0/1.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -362,6 +364,16 @@ def argmin_max(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
     return worst.index(best), best
 
 
+# lane width in bytes by the bit length of a total count, its memoryview
+# format, and the label bytes translated to 1 where label y is a mistake;
+# lanes are laid in native byte order, so one cast reads them, and a lane's
+# low byte is its last on a big-endian machine
+_LANE_WIDTHS = (1,) * 9 + (2,) * 8 + (4,) * 16 + (8,) * 32
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_MISLABELED = (None, bytes.maketrans(b"\x00\x01", b"\x01\x00"))
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 class ErrorMatrix:
     """Exact error of every hypothesis of a class on every domain of a list.
 
@@ -373,8 +385,10 @@ class ErrorMatrix:
     holds the errors on domain j as integer numerators over one common
     `denominator`, the LCM of all atom-mass denominators, so comparisons,
     maxima and gaps run on ints and `Fraction`s appear only in return values.
-    Row i is hypothesis i. Domain and sample columns come from
-    `popcount_column`.
+    Row i is hypothesis i. Domain columns come from `popcount_column`. Sample
+    columns come from lanes: per (column, lane width), one int per atom of
+    `weighted` whose `width`-byte lane i is 1 where hypothesis i mislabels the
+    atom, made on first use. The matrix keeps no `Atom`.
     """
 
     def __init__(self, hc: HypothesisClass, domains: Sequence[LabeledDistribution]) -> None:
@@ -397,7 +411,9 @@ class ErrorMatrix:
         self.denominator = den
         self.columns: tuple[tuple[int, ...], ...] = tuple(columns)
         self._masks = masks
-        self._atoms = [d.atoms for d in domains]
+        self._space = hc.space
+        self._weighted = [d.weighted for d in domains]
+        self._lanes: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def error(self, i: int, j: int) -> Fraction:
         """Error of hypothesis i on domain j."""
@@ -417,9 +433,38 @@ class ErrorMatrix:
 
     def tally(self, j: int, counts: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """`mistakes` on a sample of domain j given as (atom index, number of
-        points) pairs."""
-        atoms = self._atoms[j]
-        return popcount_column(self._masks, ((atoms[k].x, atoms[k].y, c) for k, c in counts))
+        points) pairs, atoms indexed in `weighted` order.
+
+        The mistakes are sum(count_k * lane_k), unpacked with one `to_bytes`
+        and one `memoryview.cast`. No lane can exceed the total count, so the
+        lane width is the narrowest of 1, 2, 4 and 8 bytes that holds it.
+        Counts that are not all ints, a negative count, or a total of 2**64
+        or more go to `popcount_column`."""
+        pairs = tuple(counts)
+        cs = [c for _, c in pairs]
+        total = sum(cs)
+        if type(total) is not int or total >> 64 or min(cs, default=0) < 0:
+            weighted = self._weighted[j]
+            return popcount_column(
+                self._masks, ((*weighted[k][:2], c) for k, c in pairs))
+        width = _LANE_WIDTHS[total.bit_length()]
+        lanes = self._lanes.get((j, width)) or self._lay_lanes(j, width)
+        packed = sum(map(mul, cs, [lanes[k] for k, _ in pairs]))
+        data = packed.to_bytes(width * self.rows, sys.byteorder)
+        return tuple(memoryview(data).cast(_LANE_FORMATS[width]))
+
+    def _lay_lanes(self, j: int, width: int) -> tuple[int, ...]:
+        """Domain j's atoms as ints of `width`-byte lanes, lane i 1 where
+        hypothesis i mislabels the atom; cached per (j, width)."""
+        space = self._space
+        rows = b"".join([m.to_bytes(space, "little") for m in self._masks])
+        spread = bytearray(width * self.rows)
+        lanes = []
+        for x, y, _ in self._weighted[j]:
+            spread[(width - 1) * _BIG_ENDIAN::width] = rows[x::space].translate(_MISLABELED[y])
+            lanes.append(int.from_bytes(spread, sys.byteorder))
+        self._lanes[j, width] = lanes = tuple(lanes)
+        return lanes
 
     def divergence(self, j: int, k: int, tau: Fraction | None = None) -> Fraction | None:
         """Largest error gap between domains j and k over the hypotheses whose

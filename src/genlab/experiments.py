@@ -355,8 +355,10 @@ def _learn(
     The meta puts weights[i] on the domain of matrix column columns[i]. With
     `points` None the learner sees the drawn domains' exact errors; otherwise
     its mistakes on the points `sample_training_set` would draw, that many per
-    draw: each draw's generator words come from `blocks`, and `bucket_counts`
-    counts them per atom, with picks[c] the point sampler of column c.
+    draw: each draw's generator words come from `blocks`, `bucket_counts`
+    counts them per atom with one `translate` of their top bytes (picks[c] is
+    the point sampler of column c), and `tally` sums the counts times the
+    column's packed per-atom lanes.
     Returns the chosen hypothesis, its largest exact error over the drawn
     domains, its domain risk at tau, and the drawn meta indices.
     """

@@ -8,13 +8,13 @@ weighted average instead.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, islice
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
 from .core import (
@@ -107,37 +107,76 @@ def inverse_cdf(weights: Sequence[Fraction]) -> partial[int]:
     return partial(bisect_right, tuple(thresholds))
 
 
+# `_SHARED` marks a uniform whose top byte (or top two bytes) a threshold
+# shares, so that the byte cannot place it; one byte names every bucket of a
+# sampler with fewer buckets. `_WHOLE` marks every second byte.
+_SHARED = 255
+_WHOLE = bytes([_SHARED]) * 256
+
+
+def _lows(prefixes: list[int], start: int) -> list[int | None]:
+    """For the 256 prefixes from `start` on: the bucket of every uniform with
+    that prefix when no threshold has it (the number of sorted threshold
+    prefixes below it), or None when one does."""
+    have = set(prefixes)
+    return [None if v in have else bisect_left(prefixes, v) for v in range(start, start + 256)]
+
+
+def _table(lows: list[int | None]) -> bytes:
+    return bytes(_SHARED if low is None else low for low in lows)
+
+
 @lru_cache(maxsize=64)
-def _cells(thresholds: tuple[float, ...]) -> tuple[tuple[int, int, bytes], ...]:
-    """(c, T, the bytes c..255) for each threshold t: T = ceil(t * 2**53),
-    exact for a double t <= 1, and c = T >> 45, its top byte (256 for t =
-    1.0)."""
-    scaled = [math.ceil(math.ldexp(t, 53)) for t in thresholds]
-    return tuple((T >> 45, T, bytes(range(T >> 45, 256))) for T in scaled)
+def _cells(thresholds: tuple[float, ...]
+           ) -> tuple[tuple[int, ...], list[int | None], bytes, dict[int, bytes]]:
+    """(Ts, lows, table, seconds) for a sampler's thresholds. Ts holds T =
+    ceil(t * 2**53) for each threshold t, exact for a double t <= 1. lows[b]
+    places the uniforms whose top byte is b (`_lows` of the top bytes T >>
+    45), and `table` is lows as a `bytes.translate` table. seconds[c], for
+    each shared top byte c, places a uniform of that byte by its second byte:
+    `_lows` of the top two bytes T >> 37. With `_SHARED` buckets or more the
+    table only marks the shared bytes and every second byte is `_SHARED`."""
+    Ts = tuple([math.ceil(math.ldexp(t, 53)) for t in thresholds])
+    tops = [T >> 45 for T in Ts]
+    lows = _lows(tops, 0)
+    if len(Ts) >= _SHARED:
+        marks = _table([None if low is None else 0 for low in lows])
+        return Ts, lows, marks, dict.fromkeys(tops, _WHOLE)
+    heads = [T >> 37 for T in Ts]
+    return Ts, lows, _table(lows), {c: _table(_lows(heads, c << 8)) for c in tops if c < 256}
 
 
 def bucket_counts(pick: partial[int], block: bytes) -> list[int]:
     """How many of the uniforms of a `seeding.blocks` block the `inverse_cdf`
-    sampler `pick` sends to each bucket. Bucket j holds the u with t_{j-1} <=
-    u < t_j, so its count is #{u < t_j} - #{u < t_{j-1}}. With u = k / 2**53
-    and T = ceil(t * 2**53), u < t iff k < T. The top byte k >> 45 of uniform
-    i is `block[8i + 3]`: the uniforms whose top byte is below T >> 45 all
-    count, those above it none, and only those sharing it, about one in 256,
-    are decoded whole. A threshold of 1.0 counts every uniform."""
+    sampler `pick` sends to each bucket. Uniform u = k / 2**53 goes to bucket
+    #{t : u >= t} = #{T : k >= T}, with T = ceil(t * 2**53), and k's top two
+    bytes are `block[8i + 3]` and `block[8i + 2]`. A uniform whose top byte
+    no threshold shares has its bucket fixed by that byte, so one `translate`
+    of the top bytes through `_cells`' table and one `bytes.count` per bucket
+    count them all. A uniform that shares a threshold's top byte, about one in
+    256 per distinct such byte, is placed by its second byte, and decoded
+    whole and placed by `bisect_right` only when it shares that too. With
+    `_SHARED` buckets or more, the unshared uniforms are counted per top byte
+    instead, and the shared ones are all decoded."""
+    Ts, lows, table, seconds = _cells(pick.args[0])
     tops = block[3::8]
-    cuts = []
-    for c, T, drop in _cells(pick.args[0]):
-        if c > 255:
-            cuts.append(len(tops))
-            continue
-        below = len(tops.translate(None, drop))
-        i = tops.find(c)
-        while i >= 0:
+    cells = tops.translate(table)
+    if len(Ts) < _SHARED:
+        counts = list(map(cells.count, range(len(Ts))))
+    else:
+        counts = [0] * len(Ts)
+        for b, n in Counter(tops).items():
+            if lows[b] is not None:
+                counts[lows[b]] += n
+    i = cells.find(_SHARED)
+    while i >= 0:
+        bucket = seconds[tops[i]][block[8 * i + 2]]
+        if bucket == _SHARED:
             w = int.from_bytes(block[8 * i:8 * i + 8], "little")
-            below += ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < T
-            i = tops.find(c, i + 1)
-        cuts.append(below)
-    return list(map(sub, cuts, [0, *cuts]))
+            bucket = bisect_right(Ts, (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38)
+        counts[bucket] += 1
+        i = cells.find(_SHARED, i + 1)
+    return counts
 
 
 _domain_sampler = lru_cache(maxsize=64)(inverse_cdf)

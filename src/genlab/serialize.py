@@ -31,6 +31,7 @@ from .core import (
 )
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+_ASCII_SPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() strips
 
 
 # A class file as `json.dump(indent=2, sort_keys=True)` and a newline lay it
@@ -82,16 +83,17 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def rational_from_str(text: Any, what: str = "") -> Fraction:
-    """A "p/q" or integer string, or a JSON integer (not a boolean), as a
-    Fraction; `what` names the value in a refusal."""
+    """A "p/q" or integer string, padded with ASCII whitespace at most, or a
+    JSON integer (not a boolean), as a Fraction; `what` names the value in a
+    refusal."""
     if type(text) is int:
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    if not isinstance(text, str) or not _RATIONAL_RE.match(body := text.strip(_ASCII_SPACE)):
         raise FormatError(
             f"{what} expected a decimal-free rational like '3/10' or '7', got {text!r}".lstrip()
         )
     try:
-        return Fraction(text.strip())
+        return Fraction(body)
     except ZeroDivisionError as exc:
         raise FormatError(f"{what} zero denominator in rational {text!r}".lstrip()) from exc
 

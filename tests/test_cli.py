@@ -410,8 +410,17 @@ class TestDivergenceCommands:
         assert out.rstrip() == "divergence=0/1 kind=full"
 
     def test_full_width_domain_mass_refused(self, built, capsys):
+        self.check_mass_refused(built, capsys, "\uff11/\uff12")
+
+    @pytest.mark.parametrize("pad", ["\u2003{}", "{}\u3000"])
+    def test_unicode_padded_domain_mass_refused(self, built, capsys, pad):
+        mass = json.loads((built / "domain_1.json").read_text())["atoms"][0]["mass"]
+        self.check_mass_refused(built, capsys, pad.format(mass))
+
+    @staticmethod
+    def check_mass_refused(built, capsys, mass):
         domain = json.loads((built / "domain_1.json").read_text())
-        domain["atoms"][0]["mass"] = "\uff11/\uff12"
+        domain["atoms"][0]["mass"] = mass
         (built / "bad_domain.json").write_text(json.dumps(domain))
         code, out, err = run(
             capsys, "divergence", "--class", str(built / "class.json"),
@@ -485,7 +494,8 @@ class TestArgumentErrors:
         assert exc.value.code == 2
         assert "rational" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["\u0661/\u0665\u0660", "\uff11/\uff15\uff10"])
+    @pytest.mark.parametrize("alpha", ["\u0661/\u0665\u0660", "\uff11/\uff15\uff10",
+                                       "\u20031/50", "1/50\u3000"])
     def test_non_ascii_digits_rejected(self, tmp_path, capsys, alpha):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "large-k", "--alpha", alpha, "--out-dir", str(tmp_path / "out")])

@@ -563,3 +563,39 @@ def test_bucket_counts_of_blocks_match_streams_at_scale():
             counted = [bucket_counts(pick, block) for block in blocks(seeds, m)]
             drawn = [Counter(map(pick, itertools.islice(u, m))) for u in streams(seeds)]
             assert counted == [[c[k] for k in range(len(d.atoms))] for c in drawn]
+
+
+def uniforms_of(block):
+    """The floats `random()` makes from a `seeding.blocks` block's words."""
+    words = [int.from_bytes(block[i:i + 8], "little") for i in range(0, len(block), 8)]
+    return [((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) / ONE for w in words]
+
+
+def test_bucket_counts_pin_inverse_cdf_over_the_block_uniforms():
+    # 254 buckets are named by the one-byte table, 255 and more are counted
+    # per top byte; several thresholds share top byte 126 (0.4921875 <= t <
+    # 0.49609375) in the first small sampler and top byte 64 in the second,
+    # so the uniforms there are placed by their second byte or decoded whole
+    rng = random.Random(23053)
+    weight_lists = []
+    for size in (254, 255, 256, 300):
+        nums = [rng.choice([1, 2, 7, 100]) for _ in range(size)]
+        weight_lists.append([F(w, sum(nums)) for w in nums])
+    weight_lists.append([F(493, 1000), F(1, 1000), F(1, 1000), F(1, 1000), F(504, 1000)])
+    weight_lists.append([F(1, 4), F(1, 2**20), F(1, 2**20), F(3, 4) - F(1, 2**19)])
+    shared, between = Counter(), Counter()  # per sampler
+    for j, weights in enumerate(weight_lists):
+        pick = inverse_cdf(weights)
+        ts = [math.ceil(F(t) * ONE) for t in pick.args[0]]
+        tops = Counter(T >> 45 for T in ts if T < ONE)
+        for block in blocks(derive_seeds(104729, "pin", j, count=30), 460):
+            us = uniforms_of(block)
+            hits = Counter(map(pick, us))
+            assert bucket_counts(pick, block) == [hits[k] for k in range(len(weights))]
+            for u in us:
+                k = round(u * ONE)
+                if tops[k >> 45] > 1:
+                    shared[j] += 1
+                    between[j] += any(a <= k < b for a, b in zip(ts, ts[1:]) if a >> 45 == b >> 45)
+    assert min(shared.values()) > 30 and len(shared) == len(weight_lists)
+    assert min(between[j] for j in range(5)) > 20

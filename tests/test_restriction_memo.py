@@ -1,7 +1,7 @@
 """Exact errors computed once per distinct restriction, checked against frozen
 copies of the per-hypothesis code they replaced: `popcount_column` and the
 `ErrorMatrix` columns (flipped lower-bound pools and sample columns
-included), thresholded divergence, `verify_certificate`,
+included), the lane `tally` against `popcount_column`, thresholded divergence, `verify_certificate`,
 `cover_is_valid` and the class-file loader. Instances are seeded and include
 the shattered product family (restrictions repeat heavily) and the
 thresholds of `large_k_family(1/2000)` (all restrictions distinct)."""
@@ -203,6 +203,86 @@ class TestErrorColumn:
                     counts[(a.x, a.y)] = counts.get((a.x, a.y), 0) + 1
                 want = frozen_error_column(labelings, [(x, y, c) for (x, y), c in counts.items()])
                 assert m.mistakes(j, picks) == want
+
+
+class TestLaneTally:
+    """`ErrorMatrix.tally` sums per-atom lanes of 1, 2, 4 or 8 bytes; each
+    tally is checked against `popcount_column` over the same (x, y, count)
+    triples, on seeded classes and columns."""
+
+    # totals at the top of each lane width and one past it; 2**64 falls back
+    TOPS = (255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 3 * 2**70)
+
+    @staticmethod
+    def oracle(hc, d, pairs):
+        return popcount_column(hc.masks, [(*d.weighted[k][:2], c) for k, c in pairs])
+
+    @staticmethod
+    def split(rng, total, size):
+        """Pairs whose counts sum to total over atom indices below size, with
+        repeated indices and zero counts."""
+        cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 2 * size + 1)))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        return [(rng.randrange(size), c) for c in counts]
+
+    def test_seeded_classes_and_counts(self):
+        tops = 0
+        for rng, hc, g in random_instances(90213, 80):
+            m = ErrorMatrix(hc, g.domains)
+            for j, d in enumerate(g.domains):
+                size = len(d.weighted)
+                for total in (rng.randint(0, 40), *self.TOPS):
+                    pairs = self.split(rng, total, size)
+                    assert sum(c for _, c in pairs) == total
+                    assert m.tally(j, pairs) == self.oracle(hc, d, pairs)
+                    assert m.tally(j, iter(pairs)) == self.oracle(hc, d, pairs)
+                    # every count on one atom, some listed more than once:
+                    # a hypothesis that mislabels it fills its lane to the top
+                    k = rng.randrange(size)
+                    pairs = [(k, c) for _, c in pairs] or [(k, 0)]
+                    column = m.tally(j, pairs)
+                    assert column == self.oracle(hc, d, pairs)
+                    tops += total in column
+        assert tops > 300
+
+    def test_zero_and_empty_counts(self):
+        for rng, hc, g in random_instances(90214, 30):
+            m = ErrorMatrix(hc, g.domains)
+            for j, d in enumerate(g.domains):
+                zeros = (0,) * len(hc)
+                assert m.tally(j, []) == m.tally(j, iter(())) == zeros
+                assert m.tally(j, [(k, 0) for k in range(len(d.weighted))] * 2) == zeros
+
+    def test_one_row_class(self):
+        rng = random.Random(90215)
+        for _ in range(40):
+            space = rng.randint(1, 9)
+            hc = random_class(rng, space, 1)
+            g = random_family(rng, space, rng.randint(1, 4))
+            m = ErrorMatrix(hc, g.domains)
+            for j, d in enumerate(g.domains):
+                for total in (rng.randint(0, 9), *self.TOPS):
+                    pairs = self.split(rng, total, len(d.weighted))
+                    assert m.tally(j, pairs) == self.oracle(hc, d, pairs)
+
+    def test_negative_counts_fall_back(self):
+        for rng, hc, g in random_instances(90216, 40):
+            m = ErrorMatrix(hc, g.domains)
+            for j, d in enumerate(g.domains):
+                size = len(d.weighted)
+                for pairs in ([(rng.randrange(size), -1)],
+                              [(rng.randrange(size), rng.randint(-300, 300)) for _ in range(5)],
+                              [(0, 2**64), (size - 1, -1)]):
+                    assert m.tally(j, pairs) == self.oracle(hc, d, pairs)
+            # a negative count is never read as a lane: lanes would borrow
+            assert m.tally(0, [(0, 3), (0, -1)]) == self.oracle(hc, g.domains[0], [(0, 2)])
+
+    def test_counts_that_are_not_ints_fall_back(self):
+        for rng, hc, g in random_instances(90217, 20):
+            m = ErrorMatrix(hc, g.domains)
+            d = g.domains[0]
+            for pairs in ([(0, 2.5)], [(0, F(1, 3)), (len(d.weighted) - 1, 2)], [(0, 1), (0, 1.0)]):
+                assert m.tally(0, pairs) == self.oracle(hc, d, pairs)
 
 
 class TestOncePerRestriction:

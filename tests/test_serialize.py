@@ -67,6 +67,15 @@ class TestRationalStrings:
             with pytest.raises(FormatError):
                 rational_from_str(bad)
 
+    def test_ascii_whitespace_padding_only(self):
+        for padded in (" 3/10", "3/10\n", "\t3/10\r\n", "\x0b3/10\x0c"):
+            assert rational_from_str(padded) == F(3, 10)
+        # em space, ideographic space, no-break space, next line and the
+        # ASCII separators that `str.strip()` also takes for whitespace
+        for bad in ("\u20033/10", "3/10\u3000", "\xa07", "7\x85", "\x1c3/10", "3/10\x1f"):
+            with pytest.raises(FormatError, match="expected a decimal-free rational"):
+                rational_from_str(bad)
+
     @pytest.mark.parametrize("bad", [True, False, 0.5, None, [1]])
     def test_non_integer_json_values_refused(self, bad):
         with pytest.raises(FormatError, match="atom mass expected"):
