@@ -15,7 +15,6 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from .core import (
-    Atom,
     ConstructionError,
     DomainFamily,
     ErrorMatrix,
@@ -63,14 +62,12 @@ def _parity_anchored_domain(space: int, points: tuple[int, ...]) -> LabeledDistr
     len(points), so the number of parity points m' is odd."""
     m = len(points) - 1
     anchor = points[0]
-    atoms = [
-        Atom(anchor, 0, Fraction(1, 2) * (1 - ANCHOR_MINORITY)),
-        Atom(anchor, 1, Fraction(1, 2) * ANCHOR_MINORITY),
-    ]
-    share = Fraction(1, 2 * m)
-    for t, x in enumerate(points[1:], start=1):
-        atoms.append(Atom(x, t % 2, share))
-    return LabeledDistribution(space, tuple(atoms))
+    # masses over 2bm, with ANCHOR_MINORITY = a/b: the anchor's labels 0 and 1
+    # carry (b - a)m and am, each parity point b
+    a, b = ANCHOR_MINORITY.numerator, ANCHOR_MINORITY.denominator
+    weighted = [(anchor, 0, (b - a) * m), (anchor, 1, a * m)]
+    weighted += [(x, t % 2, b) for t, x in enumerate(points[1:], start=1)]
+    return LabeledDistribution.from_weighted(space, weighted, 2 * b * m)
 
 
 def odd_even_domain(m: int) -> tuple[LabeledDistribution, ThresholdSlice]:
@@ -198,8 +195,8 @@ def product_family(
     domains = []
     for c in range(d):
         for dom in base.family.domains:
-            atoms = tuple(Atom(c * width + a.x, a.y, a.mass) for a in dom.atoms)
-            domains.append(LabeledDistribution(space, atoms))
+            weighted = [(c * width + x, y, w) for x, y, w in dom.weighted]
+            domains.append(LabeledDistribution.from_weighted(space, weighted, dom.denominator))
     return hc, DomainFamily(space, tuple(domains))
 
 
@@ -214,7 +211,7 @@ def unanimous_point_mass(hc: HypothesisClass) -> LabeledDistribution:
     x = (reduce(or_, hc.masks) ^ every).to_bytes(hc.space, "little").find(0)
     if x < 0:
         raise ConstructionError("no instance is labeled unanimously by the class")
-    return LabeledDistribution(hc.space, (Atom(x, every >> 8 * x & 1, Fraction(1)),))
+    return LabeledDistribution.from_weighted(hc.space, [(x, every >> 8 * x & 1, 1)], 1)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,12 @@ def unit_weights(weights: Iterable[Fraction], what: str) -> tuple[list[int], int
     weights = exact_values(weights, what)
     den = math.lcm(*(w.denominator for w in weights))
     nums = [w.numerator * (den // w.denominator) for w in weights]
+    return _unit(nums, den, what)
+
+
+def _unit(nums: Sequence[int], den: int, what: str) -> tuple[Sequence[int], int]:
+    """(nums, den), refused unless the int numerators over den are
+    non-negative and sum to den."""
     if min(nums, default=0) < 0:
         raise ValueError(f"{what} must be non-negative")
     if sum(nums) != den:
@@ -213,21 +219,48 @@ class Atom(NamedTuple):
 class LabeledDistribution(Frozen):
     """A finite distribution over labeled instances (a "domain").
 
-    Atoms are canonicalized: integer points and labels sorted by (x, y),
-    strictly positive masses, masses sum to exactly 1. Equality is therefore
-    canonical equality. `weighted` holds each atom as (x, y, mass numerator
-    over `denominator`), the LCM of the atoms' mass denominators; neither
-    enters equality, hashing or repr.
+    Held only as `space`, `weighted` and `denominator`: each atom is an
+    (x, y, w) triple of an integer point, a 0/1 label and a positive integer
+    numerator w, so that its mass is w / `denominator`. The triples are sorted
+    by (x, y), their numerators sum to `denominator`, and `denominator` is the
+    LCM of the atoms' reduced mass denominators (the numerators share no
+    factor with it), so the form is canonical: equality and hashing read these
+    three fields. `atoms`, the (x, y, Fraction mass) view, is made on first
+    read; repr shows the space and the atoms.
     """
 
-    _key = ("space", "atoms")
+    _key = ("space", "weighted", "denominator")
 
     def __init__(self, space: int, atoms: Iterable[Atom]) -> None:
         _check_space(space)
         raw = tuple(atoms)
         nums, den = unit_weights([m for _, _, m in raw], "atom masses")
+        self._hold(space, [(x, y, w) for (x, y, _), w in zip(raw, nums)], den)
+
+    @classmethod
+    def from_weighted(cls, space: int, weighted: Iterable[tuple[int, int, int]],
+                      denominator: int) -> LabeledDistribution:
+        """The domain whose atom (x, y, w) has mass w / denominator, w and the
+        denominator ints; checked and refused as `__init__` checks its atoms,
+        and reduced by the numerators' common factor."""
+        d = cls.__new__(cls)
+        d._hold(space, tuple(weighted), denominator)
+        return d
+
+    def _hold(self, space: int, weighted: Sequence[tuple[int, int, int]], den: int) -> None:
+        """Check the atoms (x, y, w), w an int numerator over den, and store
+        them reduced and sorted. The checks, in order: the space, int
+        numerators and denominator, non-negative masses summing to 1, then
+        atom by atom integer points and labels, the range, the label, a zero
+        mass and a repeated (x, y)."""
+        _check_space(space)
+        nums = [w for _, _, w in weighted]
+        if type(den) is not int or den < 1 or not set(map(type, nums)) <= {int}:
+            raise ValueError("atom mass numerators and denominator must be ints, "
+                             "the denominator positive")
+        _unit(nums, den, "atom masses")
         seen: set[tuple[int, int]] = set()
-        for (x, y, _), w in zip(raw, nums):
+        for x, y, w in weighted:
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"atom instance and label must be integers, got {(x, y)!r}")
             if not (0 <= x < space):
@@ -239,14 +272,22 @@ class LabeledDistribution(Frozen):
             if (x, y) in seen:
                 raise ValueError(f"duplicate atom for (x={x}, y={y})")
             seen.add((x, y))
-        # (x, y) pairs are distinct, so the sorts never compare masses
-        atoms = tuple(sorted(Atom(x, y, m if type(m) is Fraction else Fraction(m)) for x, y, m in raw))
-        weighted = tuple(sorted((x, y, w) for (x, y, _), w in zip(raw, nums)))
-        self._set(space=space, atoms=atoms, denominator=den, weighted=weighted)
+        g = math.gcd(*nums)
+        # (x, y) pairs are distinct, so the sort never compares numerators
+        weighted = sorted([(x, y, w // g) for x, y, w in weighted])
+        self._set(space=space, weighted=tuple(weighted), denominator=den // g)
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        den = self.denominator
+        return tuple([Atom(x, y, Fraction(w, den)) for x, y, w in self.weighted])
+
+    def __repr__(self) -> str:
+        return f"LabeledDistribution(space={self.space!r}, atoms={self.atoms!r})"
 
     def support(self) -> tuple[int, ...]:
         """Distinct instances carrying mass, ascending."""
-        return tuple(sorted({a.x for a in self.atoms}))
+        return tuple(dict.fromkeys([x for x, _, _ in self.weighted]))
 
 
 class DomainFamily(Frozen):
@@ -487,7 +528,8 @@ def empirical_error(h: Hypothesis, s: LabeledSample) -> Fraction:
 
 def flip_labels(d: LabeledDistribution) -> LabeledDistribution:
     """The domain with every label complemented; masses untouched."""
-    return LabeledDistribution(d.space, tuple(Atom(a.x, 1 - a.y, a.mass) for a in d.atoms))
+    return LabeledDistribution.from_weighted(
+        d.space, [(x, 1 - y, w) for x, y, w in d.weighted], d.denominator)
 
 
 def mix(
@@ -510,9 +552,8 @@ def mix(
         if scale:
             for x, y, w in d.weighted:
                 acc[x, y ^ f] = acc.get((x, y ^ f), 0) + scale * w
-    total = q * den
-    atoms = tuple(Atom(x, y, Fraction(m, total)) for (x, y), m in acc.items())
-    return LabeledDistribution(d0.space, atoms)
+    return LabeledDistribution.from_weighted(
+        d0.space, [(x, y, m) for (x, y), m in acc.items()], q * den)
 
 
 def domain_risk(p: MetaDistribution, tau: Fraction, h: Hypothesis) -> Fraction:

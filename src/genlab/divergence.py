@@ -15,7 +15,6 @@ from operator import le
 from typing import Callable, Iterable, Sequence
 
 from .core import (
-    Atom,
     ConstructionError,
     DomainFamily,
     ErrorMatrix,
@@ -291,10 +290,13 @@ def smooth_family(
             x: r + band_width * Fraction(rng.randrange(10**6 + 1), 10**6)
             for x in support
         }
-        z = sum((factors[x] * mu0[x] for x in support), start=ZERO)
-        masses = {x: factors[x] * mu0[x] / z for x in support}
-        if not all(gamma <= masses[x] / mu0[x] <= inv_gamma for x in support):
+        # x's mass is factors[x] * mu0[x] / z, so its ratio to mu0[x] is factors[x] / z
+        products = [factors[x] * mu0[x] for x in support]
+        z = sum(products, start=ZERO)
+        if not all(gamma <= factors[x] / z <= inv_gamma for x in support):
             raise ConstructionError(f"domain {i} leaves the ratio band for gamma={gamma}")
-        atoms = tuple(Atom(x, pstar[x], masses[x]) for x in support)
-        domains.append(LabeledDistribution(space, atoms))
+        den = math.lcm(*(c.denominator for c in products))
+        nums = [c.numerator * (den // c.denominator) for c in products]
+        weighted = [(x, pstar[x], w) for x, w in zip(support, nums)]
+        domains.append(LabeledDistribution.from_weighted(space, weighted, sum(nums)))
     return DomainFamily(space, tuple(domains))

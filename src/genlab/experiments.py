@@ -52,6 +52,7 @@ from .learner import (
     bucket_counts,
     draw_domain_indices,
     inverse_cdf,
+    numerator_cdf,
     sample_size_for,
     uniform_weights,
 )
@@ -464,7 +465,7 @@ def run_scaling(cfg: ScalingConfig) -> ExperimentReport:
         meta = lambda n, trial: (uniform, columns, {})
         extra = {"tau_star": rational_to_str(tau_star)}
     picks = [] if cfg.epsilon is None else [
-        inverse_cdf([a.mass for a in d.atoms]) for d in pool
+        numerator_cdf([w for _, _, w in d.weighted], d.denominator) for d in pool
     ]
 
     def one(n: int, trial: int) -> TrialRow:

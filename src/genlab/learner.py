@@ -84,7 +84,14 @@ class ErrorTable:
 
 
 def inverse_cdf(weights: Sequence[Fraction]) -> partial[int]:
-    """Inverse-CDF sampler over masses that are non-negative and sum to 1.
+    """Inverse-CDF sampler over masses that are non-negative and sum to 1:
+    `numerator_cdf` over their integer numerators and denominator."""
+    return numerator_cdf(*unit_weights(weights, "sampler weights"))
+
+
+def numerator_cdf(nums: Sequence[int], den: int) -> partial[int]:
+    """Inverse-CDF sampler over the masses nums[k] / den, given as
+    non-negative int numerators that sum to the int den (not checked here).
 
     The returned function maps a uniform variate u in [0, 1) to the first
     index k whose cumulative mass C_k/L strictly exceeds u, so zero-mass
@@ -96,7 +103,6 @@ def inverse_cdf(weights: Sequence[Fraction]) -> partial[int]:
     otherwise u would be a double >= C_k/L smaller than t_k. The last
     threshold is 1.0 exactly, so every u in [0, 1) falls in a bucket.
     """
-    nums, den = unit_weights(weights, "sampler weights")
     thresholds = []
     for c in accumulate(nums):
         t = c / den
@@ -208,10 +214,11 @@ def sample_training_set(p: MetaDistribution, n: int, m: int, seed: int) -> Train
         raise ValueError("need at least one point per sampled domain")
     indices, seeds = draw_domain_indices(p.weights, n, seed)
     domains = p.family.domains
-    picks = {j: inverse_cdf([a.mass for a in domains[j].atoms]) for j in set(indices)}
+    picks = {j: numerator_cdf([w for _, _, w in domains[j].weighted], domains[j].denominator)
+             for j in set(indices)}
     # sample i takes its m points from the stream of derive_seed(seed, "points", i)
     samples = tuple(
-        LabeledSample(tuple(domains[j].atoms[k][:2] for k in map(picks[j], islice(u, m))))
+        LabeledSample(tuple(domains[j].weighted[k][:2] for k in map(picks[j], islice(u, m))))
         for j, u in zip(indices, streams(derive_seeds(seed, "points", count=n)))
     )
     return TrainingSet(indices, samples, seed, seeds)

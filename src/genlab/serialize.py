@@ -8,6 +8,7 @@ partial files are never left behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
@@ -19,7 +20,6 @@ from typing import Any, Iterator, TextIO
 import genlab
 
 from .core import (
-    Atom,
     CertificateError,
     DomainFamily,
     GenlabError,
@@ -30,8 +30,9 @@ from .core import (
     MetaDistribution,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
-_ASCII_SPACE = " \t\n\r\x0b\x0c"  # what bytes.strip() strips
+# a rational's numerator and denominator digits, padded with ASCII whitespace
+# at most: with re.ASCII, \s is what bytes.strip() strips
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*", re.ASCII)
 
 
 # A class file as `json.dump(indent=2, sort_keys=True)` and a newline lay it
@@ -82,41 +83,61 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _ratio(text: Any, what: str) -> tuple[int, int]:
+    """`rational_from_str`'s value as (numerator, denominator) in lowest
+    terms, the denominator positive, read from the digits with no `Fraction`."""
+    if type(text) is int:
+        return text, 1
+    digits = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if digits is None:
+        raise FormatError(
+            f"{what} expected a decimal-free rational like '3/10' or '7', got {text!r}".lstrip()
+        )
+    num, den = digits.groups()
+    p, q = int(num), int(den) if den else 1  # the numerator first, as Fraction(str) reads them
+    if not q:
+        raise FormatError(f"{what} zero denominator in rational {text!r}".lstrip())
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def rational_from_str(text: Any, what: str = "") -> Fraction:
     """A "p/q" or integer string, padded with ASCII whitespace at most, or a
     JSON integer (not a boolean), as a Fraction; `what` names the value in a
     refusal."""
-    if type(text) is int:
-        return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(body := text.strip(_ASCII_SPACE)):
-        raise FormatError(
-            f"{what} expected a decimal-free rational like '3/10' or '7', got {text!r}".lstrip()
-        )
-    try:
-        return Fraction(body)
-    except ZeroDivisionError as exc:
-        raise FormatError(f"{what} zero denominator in rational {text!r}".lstrip()) from exc
+    return Fraction(*_ratio(text, what))
 
 
 def domain_to_dict(d: LabeledDistribution) -> dict[str, Any]:
-    return {
-        "space": d.space,
-        "atoms": [
-            {"x": a.x, "y": a.y, "mass": rational_to_str(a.mass)} for a in d.atoms
-        ],
-    }
+    """Each atom's mass is written as its numerator over `denominator` in
+    lowest terms, the "p/q" string of its `Fraction`."""
+    den = d.denominator
+    atoms = []
+    for x, y, w in d.weighted:
+        g = math.gcd(w, den)
+        atoms.append({"x": x, "y": y, "mass": f"{w // g}/{den // g}"})
+    return {"space": d.space, "atoms": atoms}
+
+
+def _atom(a: Any) -> tuple[int, int, int, int]:
+    """(x, y, p, q) of an atom object whose mass is p/q in lowest terms. A
+    dict with int x and y and a string mass skips `_field`, whose refusals
+    it cannot meet."""
+    if type(a) is dict and type(a.get("x")) is int and type(a.get("y")) is int \
+            and type(mass := a.get("mass")) is str:
+        return a["x"], a["y"], *_ratio(mass, "atom mass")
+    return (_int(_field(a, "x", "atom"), "atom x"), _int(_field(a, "y", "atom"), "atom y"),
+            *_ratio(_field(a, "mass", "atom"), "atom mass"))
 
 
 def domain_from_dict(obj: dict[str, Any]) -> LabeledDistribution:
-    atoms = tuple(
-        Atom(
-            _int(_field(a, "x", "atom"), "atom x"),
-            _int(_field(a, "y", "atom"), "atom y"),
-            rational_from_str(_field(a, "mass", "atom"), "atom mass"),
-        )
-        for a in _field(obj, "atoms", "domain object", list)
-    )
-    return LabeledDistribution(_int(_field(obj, "space", "domain object"), "domain space"), atoms)
+    """A domain object, its masses read as integers over the LCM of their
+    reduced denominators and checked by `LabeledDistribution.from_weighted`."""
+    atoms = [_atom(a) for a in _field(obj, "atoms", "domain object", list)]
+    space = _int(_field(obj, "space", "domain object"), "domain space")
+    den = math.lcm(*[q for _, _, _, q in atoms])
+    return LabeledDistribution.from_weighted(
+        space, [(x, y, p * (den // q)) for x, y, p, q in atoms], den)
 
 
 def hypothesis_class_to_dict(hc: HypothesisClass) -> dict[str, Any]:

@@ -4,7 +4,8 @@ Every value type in `core`, `dimensions` and `divergence` derives from
 `core.Frozen`. Each is checked against a reference twin made by
 `dataclasses.make_dataclass` with the same name, fields `_key` and
 `frozen=True`, holding the same stored values. The repr must match the
-twin's, apart from the two classes that repr their members or concepts.
+twin's, apart from the three classes that repr their members, concepts or
+atoms; a domain's repr must match that of a twin of its space and atoms.
 The `==` and `!=` verdicts must agree with the twin's over equal and unequal
 pairs, and equal values must hash equal, as their twins do. Comparing with
 another type must read not equal. Assigning or deleting any attribute must
@@ -72,7 +73,7 @@ def cases():
 
 
 CASES = list(cases())
-CUSTOM_REPR = {HypothesisClass, PartialConceptClass}
+CUSTOM_REPR = {HypothesisClass, LabeledDistribution, PartialConceptClass}
 # each class's twin: a frozen dataclass of its name and its `_key` fields
 TWINS = {cls: dataclasses.make_dataclass(cls.__name__, cls._key, frozen=True)
          for cls in {type(value) for value, _, _ in CASES}}
@@ -105,3 +106,15 @@ def test_matches_frozen_dataclass_twin(value, same, others):
                 setattr(obj, name, None)
             with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field"):
                 delattr(obj, name)
+
+
+def test_domain_repr_shows_the_space_and_atoms():
+    atoms_twin = dataclasses.make_dataclass("LabeledDistribution", ("space", "atoms"), frozen=True)
+    domains = [d for value, same, others in CASES if type(value) is LabeledDistribution
+               for d in (value, same, *others)]
+    assert len(domains) == 5
+    for d in domains:
+        atoms = tuple(Atom(x, y, F(w, d.denominator)) for x, y, w in d.weighted)
+        assert repr(d) == repr(atoms_twin(d.space, atoms))
+    assert repr(D0) == ("LabeledDistribution(space=2, atoms=(Atom(x=0, y=1, mass=Fraction(1, 3)), "
+                        "Atom(x=1, y=0, mass=Fraction(2, 3))))")

@@ -26,7 +26,7 @@ from genlab import (
 )
 from genlab.core import ErrorMatrix
 from genlab.experiments import _learn
-from genlab.learner import draw_domain_indices, inverse_cdf
+from genlab.learner import draw_domain_indices, inverse_cdf, numerator_cdf
 from genlab.seeding import rng_for
 
 from _builders import random_class, random_domain
@@ -146,6 +146,20 @@ class TestThresholdSampler:
     def test_refuses_weights_that_are_not_a_distribution(self, weights):
         with pytest.raises(ValueError):
             inverse_cdf(weights)
+
+    def test_domain_numerators_give_the_fraction_thresholds(self):
+        # the samplers read a domain's numerators; the thresholds are those of
+        # its Fraction masses, on domains of 1 to 11 atoms and of 300
+        rng = random.Random(40406)
+        for size in [*range(1, 12)] * 20 + [300] * 5:
+            space = rng.randint((size + 1) // 2, size + 3)
+            cells = rng.sample([(x, y) for x in range(space) for y in (0, 1)], size)
+            top = rng.choice([9, 10**6, MERSENNE_61])
+            weights = [rng.randint(1, top) for _ in cells]
+            d = LabeledDistribution(space, [(x, y, F(w, sum(weights))) for (x, y), w in zip(cells, weights)])
+            pick = numerator_cdf([w for _, _, w in d.weighted], d.denominator)
+            assert pick.args == inverse_cdf([a.mass for a in d.atoms]).args
+            assert len(pick.args[0]) == size and pick.args[0][-1] == 1.0
 
     def test_exposure_refuses_weights_of_another_length(self):
         pcc = PartialConceptClass(3, ((0, 1, None), (1, 0, 0)))

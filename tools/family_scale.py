@@ -9,8 +9,9 @@ workload's: tau 3/10, alpha 1/20, cover radius 1/40 at tau 3/10. For each G
 (default 40, 150 and 400) it times `induce_partial_class`, `partial_vc_dim`,
 `greedy_cover`, `cover_is_valid`, the in-process `genlab cover` command
 (`cover_cmd_s`, on class and family files written to a temporary directory
-with the public writers) and `load_hypothesis_class` plus `load_family` on
-those files (`load_s`), best of N runs (default 3), and prints one JSON line
+with the public writers), `load_hypothesis_class` and `load_family` on those
+files (`load_class_s`, `load_family_s`, and their sum `load_s`), best of N
+runs (default 3), and prints one JSON line
 with the times, the dimension, the shattered set and the number of cover
 centers. It uses only genlab's public API and CLI, so it runs on any
 checkout.
@@ -65,10 +66,10 @@ def best_of(runs: int, call):
     return result, min(times)
 
 
-def cover_command(genlab, hc, g, runs: int) -> tuple[float, float]:
+def cover_command(genlab, hc, g, runs: int) -> tuple[float, float, float]:
     """Least wall seconds over `runs` in-process `genlab cover` commands on
     the class and family, written first to a temporary directory, and least
-    wall seconds over `runs` loads of those two files."""
+    wall seconds over `runs` loads of the class file and of the family file."""
     from genlab import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -84,11 +85,9 @@ def cover_command(genlab, hc, g, runs: int) -> tuple[float, float]:
                 if cli.main(argv) != 0:
                     raise RuntimeError(f"genlab cover exited non-zero on {len(g)} domains")
 
-        def load():
-            genlab.load_hypothesis_class(work / "class.json")
-            genlab.load_family(work / "family.json")
-
-        return best_of(runs, call)[1], best_of(runs, load)[1]
+        return (best_of(runs, call)[1],
+                best_of(runs, lambda: genlab.load_hypothesis_class(work / "class.json"))[1],
+                best_of(runs, lambda: genlab.load_family(work / "family.json"))[1])
 
 
 def measure(genlab, domains: int, runs: int) -> dict:
@@ -99,7 +98,7 @@ def measure(genlab, domains: int, runs: int) -> dict:
     vc, search_s = best_of(runs, lambda: genlab.partial_vc_dim(pcc))
     cover, cover_s = best_of(runs, lambda: genlab.greedy_cover(g, hc, Fraction(1, 40), dq))
     valid, valid_s = best_of(runs, lambda: genlab.cover_is_valid(cover, g, hc))
-    cover_cmd_s, load_s = cover_command(genlab, hc, g, runs)
+    cover_cmd_s, load_class_s, load_family_s = cover_command(genlab, hc, g, runs)
     return {
         "columns": len(set(zip(*pcc.concepts))),
         "dimension": vc.dimension,
@@ -111,7 +110,9 @@ def measure(genlab, domains: int, runs: int) -> dict:
         "greedy_cover_s": round(cover_s, 5),
         "cover_is_valid_s": round(valid_s, 5),
         "cover_cmd_s": round(cover_cmd_s, 5),
-        "load_s": round(load_s, 5),
+        "load_class_s": round(load_class_s, 5),
+        "load_family_s": round(load_family_s, 5),
+        "load_s": round(load_class_s + load_family_s, 5),
     }
 
 
