@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
 
@@ -140,9 +140,9 @@ class Hypothesis(Frozen):
 class HypothesisClass(Frozen):
     """An ordered, duplicate-free collection of hypotheses on one space.
 
-    Held only as `space` and `masks`, one int per member whose byte x holds
-    the label of point x; `members` are made from the masks on first read.
-    Equality and hashing read the space and the masks, repr the members."""
+    Held as `space` and `masks`, one int per member whose byte x holds the label
+    of point x; `members`, and `rows` if not built from them, are made from the
+    masks on first read. Equality and hashing read space and masks, repr members."""
 
     _key = ("space", "masks")
 
@@ -186,6 +186,7 @@ class HypothesisClass(Frozen):
                            for i in range(0, len(rows), space)])
         hc = cls.__new__(cls)
         hc._hold(space, masks)
+        hc._set(rows=rows)
         return hc
 
     def _hold(self, space: int, masks: tuple[int, ...]) -> None:
@@ -200,6 +201,11 @@ class HypothesisClass(Frozen):
     @cached_property
     def members(self) -> tuple[Hypothesis, ...]:
         return tuple(map(self.member, range(len(self.masks))))
+
+    @cached_property
+    def rows(self) -> bytes:
+        """The labels as bytes, row i (`space` bytes) member i's."""
+        return b"".join([m.to_bytes(self.space, "little") for m in self.masks])
 
     def __repr__(self) -> str:
         return f"HypothesisClass(space={self.space!r}, members={self.members!r})"
@@ -363,22 +369,12 @@ def popcount_column(
     """Total weight each labeling gets wrong over (x, y, weight) triples, the
     labelings given as `HypothesisClass.masks`.
 
-    The points are grouped into one bit mask per distinct nonzero gain, so a
-    labeling's error is base plus each gain times a popcount. A labeling's
-    error depends only on its restriction `mask & support` to the points, so
-    it is summed once per distinct restriction."""
-    # error = base (the label-1 weight) + the gain of each point labeled 1
-    base = 0
-    gain: dict[int, int] = {}
-    for x, y, w in weighted:
-        if y:
-            base += w
-            w = -w
-        gain[x] = gain.get(x, 0) + w
-    groups: dict[int, int] = {}  # gain: bit 8x set for each point x with that gain
-    for x, g in gain.items():
-        if g:
-            groups[g] = groups.get(g, 0) | 1 << 8 * x
+    The points are grouped into one bit mask per distinct nonzero gain; an
+    error is base plus each gain times a popcount, summed once per distinct
+    restriction `mask & support`. `ErrorMatrix` sums domain columns on lanes;
+    this remains for the learner's sample columns and for a denominator or
+    tally total of 2**64 or more."""
+    base, groups = _gains(weighted, lambda x: 1 << 8 * x)  # gain: bit 8x set per point x
     support = sum(groups.values())
     terms = tuple(groups.items())
     error: dict[int, int] = {}  # distinct restriction: its error
@@ -395,6 +391,24 @@ def popcount_column(
     return tuple(column)
 
 
+def _gains(weighted: Iterable[tuple[int, int, int]], lane: Callable) -> tuple[int, dict]:
+    """(base, groups): a labeling's error on (x, y, weight) triples is base,
+    the label-1 weight, plus the gain of each point it labels 1; groups maps
+    each distinct nonzero gain to the sum of lane(x) over its points x."""
+    base = 0
+    gain: dict[int, int] = {}
+    for x, y, w in weighted:
+        if y:
+            base += w
+            w = -w
+        gain[x] = gain.get(x, 0) + w
+    groups: dict[int, int] = {}
+    for x, g in gain.items():
+        if g:
+            groups[g] = groups.get(g, 0) + lane(x)
+    return base, groups
+
+
 def argmin_max(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
     """(i, worst): the lowest row index minimizing its largest entry over the
     given columns, and that entry."""
@@ -405,14 +419,27 @@ def argmin_max(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
     return worst.index(best), best
 
 
-# lane width in bytes by the bit length of a total count, its memoryview
-# format, and the label bytes translated to 1 where label y is a mistake;
-# lanes are laid in native byte order, so one cast reads them, and a lane's
-# low byte is its last on a big-endian machine
+# lane width in bytes by the bit length of the largest value a lane holds, and its
+# memoryview format; lanes are laid in native byte order, so one cast reads them,
+# and a lane's low byte is its last on a big-endian machine
 _LANE_WIDTHS = (1,) * 9 + (2,) * 8 + (4,) * 16 + (8,) * 32
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_MISLABELED = (None, bytes.maketrans(b"\x00\x01", b"\x01\x00"))
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _point_lanes(hc: HypothesisClass, width: int, points: Iterable[int]) -> tuple[int, dict]:
+    """(ones, lanes): 1 in every `width`-byte lane; per point x, member i's label in lane i."""
+    spread = bytearray(width * len(hc))
+    lanes = {}
+    for x in points:
+        spread[(width - 1) * _BIG_ENDIAN::width] = hc.rows[x::hc.space]
+        lanes[x] = int.from_bytes(spread, sys.byteorder)
+    return (1 << 8 * width * len(hc)) // ((1 << 8 * width) - 1), lanes
+
+
+def _unpack(packed: int, width: int, n: int) -> tuple[int, ...]:
+    """The n lanes of `width` bytes of a packed non-negative int."""
+    return tuple(memoryview(packed.to_bytes(width * n, sys.byteorder)).cast(_LANE_FORMATS[width]))
 
 
 class ErrorMatrix:
@@ -426,10 +453,12 @@ class ErrorMatrix:
     holds the errors on domain j as integer numerators over one common
     `denominator`, the LCM of all atom-mass denominators, so comparisons,
     maxima and gaps run on ints and `Fraction`s appear only in return values.
-    Row i is hypothesis i. Domain columns come from `popcount_column`. Sample
-    columns come from lanes: per (column, lane width), one int per atom of
-    `weighted` whose `width`-byte lane i is 1 where hypothesis i mislabels the
-    atom, made on first use. The matrix keeps no `Atom`.
+    Row i is hypothesis i. Domain columns are sums of per-point lanes (`_point_lanes`, not
+    kept): base*ones plus each `_gains` gain times its points' lanes, in the narrowest lanes
+    that hold `denominator`; no error exceeds it, so the sum's lanes are the errors even
+    where a negative gain borrows. A denominator of 2**64 or more goes to `popcount_column`.
+    Sample columns (`tally`) sum per-atom lanes, lane_x or ones - lane_x for label 1, made
+    on first use per (column, lane width). The matrix keeps no `Atom`.
     """
 
     def __init__(self, hc: HypothesisClass, domains: Sequence[LabeledDistribution]) -> None:
@@ -440,19 +469,24 @@ class ErrorMatrix:
                     f"domain {j} has space {d.space}, class space is {hc.space}"
                 )
         den = math.lcm(*(d.denominator for d in domains))
-        masks = hc.masks
-        columns = []
-        for j, d in enumerate(domains):
-            scale = den // d.denominator
-            column = popcount_column(masks, ((x, y, w * scale) for x, y, w in d.weighted))
+        if den >> 64:
+            columns = [popcount_column(hc.masks, [(x, y, w * (den // d.denominator))
+                                                  for x, y, w in d.weighted]) for d in domains]
+        else:
+            width = _LANE_WIDTHS[den.bit_length()]
+            ones, lanes = _point_lanes(hc, width, {x for d in domains for x, _, _ in d.weighted})
+            columns = []
+            for d in domains:
+                base, groups = _gains(d.weighted, lanes.__getitem__)
+                packed = base * ones + sum([g * group for g, group in groups.items()])
+                columns.append(_unpack(den // d.denominator * packed, width, len(hc)))
+        for j, column in enumerate(columns):
             if min(column) < 0 or max(column) > den:
                 raise ValueError(f"domain {j} yields an error outside [0, 1]")
-            columns.append(column)
-        self.rows = len(masks)
+        self.rows = len(hc)
         self.denominator = den
         self.columns: tuple[tuple[int, ...], ...] = tuple(columns)
-        self._masks = masks
-        self._space = hc.space
+        self._class = hc
         self._weighted = [d.weighted for d in domains]
         self._lanes: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -486,25 +520,17 @@ class ErrorMatrix:
         total = sum(cs)
         if type(total) is not int or total >> 64 or min(cs, default=0) < 0:
             weighted = self._weighted[j]
-            return popcount_column(
-                self._masks, ((*weighted[k][:2], c) for k, c in pairs))
+            return popcount_column(self._class.masks, ((*weighted[k][:2], c) for k, c in pairs))
         width = _LANE_WIDTHS[total.bit_length()]
         lanes = self._lanes.get((j, width)) or self._lay_lanes(j, width)
-        packed = sum(map(mul, cs, [lanes[k] for k, _ in pairs]))
-        data = packed.to_bytes(width * self.rows, sys.byteorder)
-        return tuple(memoryview(data).cast(_LANE_FORMATS[width]))
+        return _unpack(sum(map(mul, cs, [lanes[k] for k, _ in pairs])), width, self.rows)
 
     def _lay_lanes(self, j: int, width: int) -> tuple[int, ...]:
         """Domain j's atoms as ints of `width`-byte lanes, lane i 1 where
         hypothesis i mislabels the atom; cached per (j, width)."""
-        space = self._space
-        rows = b"".join([m.to_bytes(space, "little") for m in self._masks])
-        spread = bytearray(width * self.rows)
-        lanes = []
-        for x, y, _ in self._weighted[j]:
-            spread[(width - 1) * _BIG_ENDIAN::width] = rows[x::space].translate(_MISLABELED[y])
-            lanes.append(int.from_bytes(spread, sys.byteorder))
-        self._lanes[j, width] = lanes = tuple(lanes)
+        atoms = self._weighted[j]
+        ones, at = _point_lanes(self._class, width, {x for x, _, _ in atoms})
+        self._lanes[j, width] = lanes = tuple([ones - at[x] if y else at[x] for x, y, _ in atoms])
         return lanes
 
     def divergence(self, j: int, k: int, tau: Fraction | None = None) -> Fraction | None:

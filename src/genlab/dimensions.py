@@ -90,8 +90,7 @@ class PartialConceptClass(Frozen):
     @classmethod
     def from_hypothesis_class(cls, hc: HypothesisClass) -> PartialConceptClass:
         """Total concepts: each hypothesis read as a concept over its instances."""
-        rows = b"".join([m.to_bytes(hc.space, "little") for m in hc.masks])
-        return cls._from_columns(len(hc), [rows[x::hc.space] for x in range(hc.space)])
+        return cls._from_columns(len(hc), [hc.rows[x::hc.space] for x in range(hc.space)])
 
     @cached_property
     def concepts(self) -> tuple[tuple[int | None, ...], ...]:

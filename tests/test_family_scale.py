@@ -43,8 +43,8 @@ def test_smoke_at_forty_domains():
     assert (g40["dimension"], g40["shattered"], g40["centers"], g40["valid"]) == (
         4, [0, 2, 6, 24], 39, True
     )
-    times = ("induce_s", "search_s", "greedy_cover_s", "cover_is_valid_s", "cover_cmd_s",
-             "load_class_s", "load_family_s", "load_s")
+    times = ("matrix_s", "induce_s", "search_s", "greedy_cover_s", "cover_is_valid_s",
+             "cover_cmd_s", "load_class_s", "load_family_s", "load_s")
     assert list(g40)[-len(times):] == list(times)
     for key in times:
         assert g40[key] >= 0

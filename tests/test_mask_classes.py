@@ -348,7 +348,9 @@ def test_loaded_classes_compare_and_hash_on_their_masks(tmp_path):
     write_hypothesis_class(tmp_path / "class.json", hc)
     a, b = (load_hypothesis_class(tmp_path / "class.json") for _ in range(2))
     assert a == b and hash(a) == hash(b) and a == hc
-    assert set(vars(a)) == set(vars(b)) == {"space", "masks"}
+    # the loader's label bytes are kept as `rows`; no member is made yet
+    assert set(vars(a)) == set(vars(b)) == {"space", "masks", "rows"}
+    assert a.rows == hc.rows
     assert a.members == hc.members and "members" in vars(a)
 
 

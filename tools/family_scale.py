@@ -6,15 +6,16 @@ domains of at most 4 atoms with integer weights, structure seed 60013),
 drawn in the same order but with G domains instead of 40; at G=40 they are
 that workload's inputs before relabeling. The query is the `family-random`
 workload's: tau 3/10, alpha 1/20, cover radius 1/40 at tau 3/10. For each G
-(default 40, 150 and 400) it times `induce_partial_class`, `partial_vc_dim`,
+(default 40, 150 and 400) it times the `genlab.core.ErrorMatrix` build over
+the family (`matrix_s`), `induce_partial_class`, `partial_vc_dim`,
 `greedy_cover`, `cover_is_valid`, the in-process `genlab cover` command
 (`cover_cmd_s`, on class and family files written to a temporary directory
 with the public writers), `load_hypothesis_class` and `load_family` on those
 files (`load_class_s`, `load_family_s`, and their sum `load_s`), best of N
 runs (default 3), and prints one JSON line
 with the times, the dimension, the shattered set and the number of cover
-centers. It uses only genlab's public API and CLI, so it runs on any
-checkout.
+centers. It uses only genlab's public API and CLI, and
+`genlab.core.ErrorMatrix`, which every checkout with the family chain has.
 
     python3 tools/family_scale.py [--domains G ...] [--runs N] [--src DIR]
 
@@ -94,6 +95,7 @@ def measure(genlab, domains: int, runs: int) -> dict:
     hc, g = structure(genlab, domains)
     q = genlab.DimensionQuery(Fraction(3, 10), Fraction(1, 20))
     dq = genlab.DivergenceQuery(Fraction(3, 10))
+    _, matrix_s = best_of(runs, lambda: genlab.core.ErrorMatrix(hc, g.domains))
     pcc, induce_s = best_of(runs, lambda: genlab.induce_partial_class(hc, g, q))
     vc, search_s = best_of(runs, lambda: genlab.partial_vc_dim(pcc))
     cover, cover_s = best_of(runs, lambda: genlab.greedy_cover(g, hc, Fraction(1, 40), dq))
@@ -105,6 +107,7 @@ def measure(genlab, domains: int, runs: int) -> dict:
         "shattered": list(vc.shattered),
         "centers": len(cover.center_indices),
         "valid": valid,
+        "matrix_s": round(matrix_s, 5),
         "induce_s": round(induce_s, 5),
         "search_s": round(search_s, 5),
         "greedy_cover_s": round(cover_s, 5),
