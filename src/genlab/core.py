@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import accumulate
+from operator import mul, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 ZERO = Fraction(0)
@@ -409,6 +411,17 @@ def _gains(weighted: Iterable[tuple[int, int, int]], lane: Callable) -> tuple[in
     return base, groups
 
 
+def _meet(levels: Iterable[tuple[list[int], list[int]]], t: int) -> int:
+    """Bit mask of the rows whose entry is at most t in every level, t at least
+    each level's smallest value."""
+    rows = -1
+    for values, masks in levels:
+        rows &= masks[bisect_right(values, t) - 1]
+        if not rows:
+            break
+    return rows
+
+
 def argmin_max(columns: Iterable[Sequence[int]]) -> tuple[int, int]:
     """(i, worst): the lowest row index minimizing its largest entry over the
     given columns, and that entry."""
@@ -456,9 +469,13 @@ class ErrorMatrix:
     Row i is hypothesis i. Domain columns are sums of per-point lanes (`_point_lanes`, not
     kept): base*ones plus each `_gains` gain times its points' lanes, in the narrowest lanes
     that hold `denominator`; no error exceeds it, so the sum's lanes are the errors even
-    where a negative gain borrows. A denominator of 2**64 or more goes to `popcount_column`.
+    where a negative gain borrows. A denominator of 2**64 or more goes to `popcount_column`,
+    and so does a domain whose numerators are not non-negative with a sum of at most its
+    denominator (only one built around `LabeledDistribution`'s checks); only such a column
+    can leave [0, 1], which is refused.
     Sample columns (`tally`) sum per-atom lanes, lane_x or ones - lane_x for label 1, made
-    on first use per (column, lane width). The matrix keeps no `Atom`.
+    on first use per (column, lane width). `minmax` reads per-column threshold levels
+    (`_level`), made on first read. The matrix keeps no `Atom`.
     """
 
     def __init__(self, hc: HypothesisClass, domains: Sequence[LabeledDistribution]) -> None:
@@ -469,20 +486,25 @@ class ErrorMatrix:
                     f"domain {j} has space {d.space}, class space is {hc.space}"
                 )
         den = math.lcm(*(d.denominator for d in domains))
-        if den >> 64:
-            columns = [popcount_column(hc.masks, [(x, y, w * (den // d.denominator))
-                                                  for x, y, w in d.weighted]) for d in domains]
-        else:
+        wide = den >> 64
+        if not wide:
             width = _LANE_WIDTHS[den.bit_length()]
             ones, lanes = _point_lanes(hc, width, {x for d in domains for x, _, _ in d.weighted})
-            columns = []
-            for d in domains:
+        columns = []
+        for j, d in enumerate(domains):
+            scale = den // d.denominator
+            ws = [w for _, _, w in d.weighted]
+            if wide or min(ws, default=0) < 0 or sum(ws) > d.denominator:
+                # numerators forged around LabeledDistribution's checks can carry or
+                # borrow across lanes, so such a domain is summed exactly and checked
+                column = popcount_column(hc.masks, [(x, y, w * scale) for x, y, w in d.weighted])
+                if min(column) < 0 or max(column) > den:
+                    raise ValueError(f"domain {j} yields an error outside [0, 1]")
+            else:
                 base, groups = _gains(d.weighted, lanes.__getitem__)
                 packed = base * ones + sum([g * group for g, group in groups.items()])
-                columns.append(_unpack(den // d.denominator * packed, width, len(hc)))
-        for j, column in enumerate(columns):
-            if min(column) < 0 or max(column) > den:
-                raise ValueError(f"domain {j} yields an error outside [0, 1]")
+                column = _unpack(scale * packed, width, len(hc))
+            columns.append(column)
         self.rows = len(hc)
         self.denominator = den
         self.columns: tuple[tuple[int, ...], ...] = tuple(columns)
@@ -496,10 +518,56 @@ class ErrorMatrix:
 
     def minmax(self, columns: Iterable[int]) -> tuple[int, Fraction]:
         """(i, worst): the lowest-index hypothesis minimizing its largest error
-        over the listed domains, and that error. Each distinct domain is read
-        once; repeats cannot change a maximum."""
-        i, worst = argmin_max(self.columns[j] for j in set(columns))
-        return i, Fraction(worst, self.denominator)
+        over the listed domains, and that error; what `argmin_max` gives on the
+        distinct listed columns. A negative index raises `IndexError`.
+
+        worst is the smallest threshold t at which some row has every listed
+        entry at most t, and t qualifies when the AND of the columns' `_level`
+        masks at t is nonzero; the lowest set bit of that AND is i. No t below
+        the largest column minimum qualifies, so the search tries that first,
+        then gallops up the listed columns' larger values and bisects.
+        Levels are cached per column, which pays where the same columns are
+        read again and again (the trials' meta columns); a column read once,
+        such as a sample's `tally` or a `minmax_erm` table, costs less through
+        `argmin_max`."""
+        js = set(columns)
+        if not js:
+            raise ValueError("min-max needs at least one domain")
+        cache = self._levels
+        levels = [cache.get(j) or self._level(j) for j in js]
+        worst = max([values[0] for values, _ in levels])
+        rows = _meet(levels, worst)
+        if not rows:
+            # gallop up from the largest minimum, then bisect; every mask at the
+            # largest value is full, so ts[-1] meets every row and row 0 answers
+            ts = sorted({t for values, _ in levels for t in values if t > worst})
+            lo, hi, rows, step = 0, len(ts) - 1, 1, 1
+            while lo < hi:
+                mid = min(lo + step - 1, (lo + hi) // 2)
+                meet = _meet(levels, ts[mid])
+                if meet:
+                    hi, rows = mid, meet
+                else:
+                    lo, step = mid + 1, 2 * step
+            worst = ts[lo]
+        return (rows & -rows).bit_length() - 1, Fraction(worst, self.denominator)
+
+    @cached_property
+    def _levels(self) -> dict[int, tuple[list[int], list[int]]]:
+        """Column index: its level, made on first read by `minmax`."""
+        return {}
+
+    def _level(self, j: int) -> tuple[list[int], list[int]]:
+        """(values, masks): column j's distinct entries ascending, and for each
+        value v the bit mask of the rows whose entry is at most v; cached."""
+        if j < 0:
+            raise IndexError(f"column index {j} is negative")
+        exact: dict[int, int] = {}
+        for i, v in enumerate(self.columns[j]):
+            exact[v] = exact.get(v, 0) | 1 << i
+        values = sorted(exact)
+        self._levels[j] = level = (values, list(accumulate([exact[v] for v in values], or_)))
+        return level
 
     def mistakes(self, j: int, atom_indices: Iterable[int]) -> tuple[int, ...]:
         """How many points of a sample of domain j each hypothesis mislabels,
@@ -608,5 +676,6 @@ def optimal_tau(p: MetaDistribution, hc: HypothesisClass) -> tuple[Fraction, int
         )
     support = p.support()
     matrix = ErrorMatrix(hc, [p.family.domains[j] for j in support])
-    best_idx, best = matrix.minmax(range(len(support)))
-    return best, best_idx
+    # each column is read once, so no `minmax` levels
+    best_idx, best = argmin_max(matrix.columns)
+    return Fraction(best, matrix.denominator), best_idx

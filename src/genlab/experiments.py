@@ -354,12 +354,15 @@ def _learn(
     """Fit the min-max learner on n domain draws from a meta.
 
     The meta puts weights[i] on the domain of matrix column columns[i]. With
-    `points` None the learner sees the drawn domains' exact errors; otherwise
-    its mistakes on the points `sample_training_set` would draw, that many per
-    draw: each draw's generator words come from `blocks`, `bucket_counts`
-    counts them per atom with one `translate` of their top bytes (picks[c] is
-    the point sampler of column c), and `tally` sums the counts times the
-    column's packed per-atom lanes.
+    `points` None the learner sees the drawn domains' exact errors, through
+    `ErrorMatrix.minmax` on its cached column levels; otherwise its mistakes on
+    the points `sample_training_set` would draw, that many per draw: each
+    draw's generator words come from `blocks`, `bucket_counts` counts them per
+    atom with one `translate` of their top bytes (picks[c] is the point sampler
+    of column c), `tally` sums the counts times the column's packed per-atom
+    lanes, and `argmin_max` reads those fresh columns once.
+    The risk compares integer numerators with floor(tau * denominator), with
+    no `Fraction` per column.
     Returns the chosen hypothesis, its largest exact error over the drawn
     domains, its domain risk at tau, and the drawn meta indices.
     """
@@ -374,8 +377,10 @@ def _learn(
         }
         hat, _ = argmin_max(samples)
         max_train = max(matrix.error(hat, columns[i]) for i in set(indices))
+    # an integer numerator exceeds tau * denominator iff it exceeds its floor
+    limit = math.floor(tau * matrix.denominator)
     risk = sum(
-        (w for w, c in zip(weights, columns) if matrix.error(hat, c) > tau),
+        (w for w, c in zip(weights, columns) if matrix.columns[c][hat] > limit),
         start=ZERO,
     )
     return hat, max_train, risk, indices
@@ -627,6 +632,7 @@ def run_lower_bound(cfg: LowerBoundConfig) -> ExperimentReport:
     lbf = large_k_lower_bound(cfg.family_alpha, cfg.tau)
     matrix = ErrorMatrix(lbf.hypothesis_class, lbf.extended_family.domains)
     tau_prime = _threshold(lbf, cfg.tau_margin)
+    limit = math.floor(tau_prime * matrix.denominator)
     weights = lbf.meta_weights(cfg.gamma)
 
     def one(trial: int) -> TrialRow:
@@ -639,7 +645,7 @@ def run_lower_bound(cfg: LowerBoundConfig) -> ExperimentReport:
         )
         seen = {i - 1 for i in indices if i >= 1}
         unseen = [t for t in range(lbf.d) if t not in seen]
-        failed = [t for t in unseen if matrix.error(hat, columns[1 + t]) > tau_prime]
+        failed = [t for t in unseen if matrix.columns[columns[1 + t]][hat] > limit]
         seed = derive_seed(cfg.seed, "lb", cfg.n, trial)
         return TrialRow(
             "lower-bound", cfg.n, trial, seed, hat, er, max_train,

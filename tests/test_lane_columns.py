@@ -134,10 +134,15 @@ class TestDomainColumns:
         assert check(members, domains).columns == check(loaded, domains).columns
 
     def test_out_of_range_error_is_refused(self):
-        """A domain whose numerators exceed its denominator (built around the
-        checks) is refused on the decoded column, in lanes and in the fallback."""
+        """A domain whose numerators exceed its denominator or go negative
+        (built around the checks) is refused on its exact column, at a lane
+        width and in the fallback; a negative column is not unpacked, and the
+        errors (-1, 1), which one-byte lanes would borrow into (255, 0), are
+        not decoded."""
         hc = HypothesisClass(2, (Hypothesis((0, 1)), Hypothesis((1, 1))))
-        for weighted, den in ((((0, 0, 5), (1, 1, 1)), 3), (((0, 0, -1), (1, 1, 2**65)), 2**65)):
+        for weighted, den in ((((0, 0, 5), (1, 1, 1)), 3), (((0, 0, -1), (1, 1, 2)), 3),
+                              (((0, 0, 1), (0, 1, -1)), 255),
+                              (((0, 0, -1), (1, 1, 2**65)), 2**65)):
             d = LabeledDistribution.__new__(LabeledDistribution)
             d._set(space=2, weighted=weighted, denominator=den)
             with pytest.raises(ValueError, match="domain 0 yields an error outside"):
